@@ -58,8 +58,9 @@ int main(int argc, char** argv) {
   t.print();
 
   hp::hyper::save_pajek(
-      hp::hyper::to_pajek_bipartite(h, data.proteins.names(),
-                                    data.complex_names),
+      hp::hyper::to_pajek_bipartite(
+          h, [&](hp::index_t v) { return data.proteins.name_of(v); },
+          [&](hp::index_t e) { return data.complex_names.name_of(e); }),
       prefix + ".net");
   hp::hyper::save_pajek(hp::hyper::to_pajek_partition(classes),
                         prefix + ".clu");

@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
   for (hp::index_t e = 0;
        e < core.hypergraph.num_edges() && e < 10; ++e) {
     std::printf("  %s: %u core members\n",
-                data.complex_names[core.edge_to_parent[e]].c_str(),
+                data.complex_names.name_of(core.edge_to_parent[e]).c_str(),
                 core.hypergraph.edge_size(e));
   }
 

@@ -46,7 +46,7 @@ int main() {
   }
   std::printf("\ncore complexes:");
   for (hp::index_t e : cores.core_edges(cores.max_core)) {
-    std::printf(" %s", data.complex_names[e].c_str());
+    std::printf(" %s", data.complex_names.name_of(e).c_str());
   }
   std::printf("\n\n");
 

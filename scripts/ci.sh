@@ -122,8 +122,15 @@ assert text["seconds"] > 0, "text-parse baseline did not run"
 assert speedup >= 50.0, \
     f"warm mmap open speedup {speedup:.1f}x < 50x vs text parse " \
     f"on the scaled surrogate"
+# End to end, a nameless load must cost what its read and its one
+# validation pass cost: nothing per id on top.
+ratio = bench["load_dataset_ratio"]
+assert ratio <= 2.0, \
+    f"load_dataset(.hps) takes {ratio:.2f}x open + validate (gate: <= 2x) " \
+    f"on the scaled surrogate"
 print(f"snapshot bench ok: {speedup:.1f}x warm open speedup vs text parse "
-      f"(gate: >= 50x)")
+      f"(gate: >= 50x), load_dataset {ratio:.2f}x open + validate "
+      f"(gate: <= 2x)")
 EOF
 
 echo "=== fuzz pipeline throughput bench (quick) ==="
@@ -361,7 +368,7 @@ cmake --build "${prefix}-tsan" -j
 # HP_THREADS=4 forces a real multi-worker pool even on 1-2 core CI
 # machines, so TSan sees genuine cross-thread interleavings in the
 # deques, the parallel kcore/BFS/fuzz paths, and the prefetch fan-out.
-HP_THREADS=4 "${prefix}-tsan/tests/unit_tests" --gtest_filter='*Par*:*par*:TaskGroup*:ThreadPool*:LaneLimit*:Oversubscription*:Determinism*:ParallelKCore*:KCoreEquivalence*:FrontierPeel*:Seeds/FrontierPeel*:Invariants*:Mutate*:ServeTest*:ContextPool*'
+HP_THREADS=4 "${prefix}-tsan/tests/unit_tests" --gtest_filter='*Par*:*par*:TaskGroup*:ThreadPool*:LaneLimit*:Oversubscription*:Determinism*:ParallelKCore*:KCoreEquivalence*:FrontierPeel*:Seeds/FrontierPeel*:Invariants*:Mutate*:ServeTest*:ContextPool*:DatasetNames*:NameTable*'
 # The fuzz smoke again runs the 1000-sequence mutation differential,
 # here with a real multi-worker pool under the rebuild tier's builds.
 HP_THREADS=4 "${prefix}-tsan/src/cli/hp_fuzz" --seed-range 0:1000 \

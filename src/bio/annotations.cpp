@@ -37,7 +37,7 @@ AnnotationSet simulate_annotations(index_t num_proteins,
 }
 
 AnnotationSet parse_annotations(const std::string& text,
-                                const ProteinRegistry& proteins) {
+                                const NameTable& proteins) {
   AnnotationSet a;
   a.essential.assign(proteins.size(), false);
   a.homolog.assign(proteins.size(), false);
@@ -81,7 +81,7 @@ AnnotationSet parse_annotations(const std::string& text,
 }
 
 std::string format_annotations(const AnnotationSet& a,
-                               const ProteinRegistry& proteins) {
+                               const NameTable& proteins) {
   HP_REQUIRE(a.size() == proteins.size(),
              "format_annotations: size mismatch");
   std::ostringstream out;

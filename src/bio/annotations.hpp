@@ -20,7 +20,7 @@
 #include <string>
 #include <vector>
 
-#include "bio/protein.hpp"
+#include "bio/name_table.hpp"
 #include "util/rng.hpp"
 
 namespace hp::bio {
@@ -54,8 +54,8 @@ AnnotationSet simulate_annotations(index_t num_proteins,
 /// Parse / format the TSV annotation table described above. Proteins
 /// missing from the table default to (nonessential, nohomolog, known).
 AnnotationSet parse_annotations(const std::string& text,
-                                const ProteinRegistry& proteins);
+                                const NameTable& proteins);
 std::string format_annotations(const AnnotationSet& a,
-                               const ProteinRegistry& proteins);
+                               const NameTable& proteins);
 
 }  // namespace hp::bio

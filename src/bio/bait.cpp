@@ -36,7 +36,7 @@ BaitSelection select_baits(const hyper::Hypergraph& h, BaitStrategy strategy) {
 }
 
 std::vector<std::string> bait_names(const BaitSelection& selection,
-                                    const ProteinRegistry& proteins) {
+                                    const NameTable& proteins) {
   std::vector<std::string> names;
   names.reserve(selection.baits.size());
   for (index_t v : selection.baits) names.push_back(proteins.name_of(v));

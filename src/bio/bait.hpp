@@ -36,7 +36,7 @@ BaitSelection select_baits(const hyper::Hypergraph& h, BaitStrategy strategy);
 
 /// Bait names for reporting.
 std::vector<std::string> bait_names(const BaitSelection& selection,
-                                    const ProteinRegistry& proteins);
+                                    const NameTable& proteins);
 
 /// How many complexes each bait pulls down (= its degree); the paper
 /// reports the distribution for Cellzome's 459 baits (429 pull one

@@ -333,14 +333,13 @@ ComplexDataset cellzome_surrogate(const CellzomeParams& p) {
     }
   }
   hyper::HypergraphBuilder builder{p.num_proteins};
-  data.complex_names.reserve(p.num_complexes);
   for (index_t e = 0; e < p.num_complexes; ++e) {
     HP_REQUIRE(!edge_members[e].empty(),
                "cellzome_surrogate: generated an empty complex");
     builder.add_edge(edge_members[e]);
     char buf[16];
     std::snprintf(buf, sizeof buf, "CPLX%03u", static_cast<unsigned>(e));
-    data.complex_names.push_back(buf);
+    data.complex_names.intern(buf);
   }
   data.hypergraph = builder.build();
   return data;

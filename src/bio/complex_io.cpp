@@ -1,7 +1,6 @@
 #include "bio/complex_io.hpp"
 
 #include <fstream>
-#include <set>
 #include <sstream>
 #include <stdexcept>
 
@@ -14,7 +13,6 @@ ComplexDataset parse_complex_table(const std::string& text) {
   std::istringstream in(text);
   std::string line;
   std::size_t line_no = 0;
-  std::set<std::string> complex_names_seen;
   std::vector<std::vector<index_t>> edges;
 
   while (std::getline(in, line)) {
@@ -36,16 +34,17 @@ ComplexDataset parse_complex_table(const std::string& text) {
       throw ParseError{"line " + std::to_string(line_no) +
                        ": complex with no proteins"};
     }
-    const std::string name{fields[0]};
-    if (!complex_names_seen.insert(name).second) {
+    const std::string_view name = fields[0];
+    if (data.complex_names.contains(name)) {
       throw ParseError{"line " + std::to_string(line_no) +
-                       ": duplicate complex name '" + name + "'"};
+                       ": duplicate complex name '" + std::string{name} +
+                       "'"};
     }
-    data.complex_names.push_back(name);
+    data.complex_names.intern(name);
     std::vector<index_t> members;
     members.reserve(fields.size() - 1);
     for (std::size_t i = 1; i < fields.size(); ++i) {
-      members.push_back(data.proteins.intern(std::string{fields[i]}));
+      members.push_back(data.proteins.intern(fields[i]));
     }
     edges.push_back(std::move(members));
   }
@@ -63,7 +62,7 @@ std::string format_complex_table(const ComplexDataset& data) {
   out << "# protein complex membership table (" << data.hypergraph.num_edges()
       << " complexes, " << data.hypergraph.num_vertices() << " proteins)\n";
   for (index_t e = 0; e < data.hypergraph.num_edges(); ++e) {
-    out << data.complex_names[e];
+    out << data.complex_names.name_of(e);
     for (index_t v : data.hypergraph.vertices_of(e)) {
       out << '\t' << data.proteins.name_of(v);
     }

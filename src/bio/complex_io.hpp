@@ -6,22 +6,22 @@
 //   ComplexName <TAB> Protein1 <TAB> Protein2 <TAB> ...
 //
 // (whitespace-separated protein lists are also accepted). Proteins are
-// interned into a ProteinRegistry in first-seen order; complexes become
+// interned into a NameTable in first-seen order; complexes become
 // hyperedges in file order.
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "bio/protein.hpp"
+#include "bio/name_table.hpp"
 #include "core/hypergraph.hpp"
 
 namespace hp::bio {
 
 struct ComplexDataset {
   hyper::Hypergraph hypergraph;        ///< proteins = vertices, complexes = edges
-  ProteinRegistry proteins;
-  std::vector<std::string> complex_names;  ///< per hyperedge id
+  NameTable proteins;       ///< per vertex id
+  NameTable complex_names;  ///< per hyperedge id
 };
 
 /// Parse from text. Throws hp::ParseError (with a line number) on a line

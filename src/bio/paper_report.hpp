@@ -24,8 +24,10 @@ struct PaperReport {
   // Section 2.
   hyper::HypergraphSummary summary;
   hyper::HyperPathSummary paths;
-  PowerLawFit degree_fit;
-  hyper::EdgeSizeFits size_fits;
+  /// Absent when the data has fewer than two distinct degrees / sizes
+  /// (a fit needs two points).
+  std::optional<PowerLawFit> degree_fit;
+  std::optional<hyper::EdgeSizeFits> size_fits;
   // Section 3.
   index_t max_core = 0;
   index_t core_proteins = 0;

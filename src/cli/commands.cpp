@@ -62,19 +62,12 @@ Format detect_format(const std::string& path) {
       "' (expected .hyper, .hgr, .hpb, .hps, .mtx, .tsv, .txt)"};
 }
 
-/// Wrap a bare hypergraph in a dataset with generated names.
+/// Wrap a bare hypergraph in a dataset named by the numbered scheme
+/// ("v<i>" / "f<i>", bio/name_table.hpp): O(1), no strings built.
 bio::ComplexDataset wrap(hyper::Hypergraph h) {
   bio::ComplexDataset data;
-  for (index_t v = 0; v < h.num_vertices(); ++v) {
-    std::string name = "v";
-    name += std::to_string(v);
-    data.proteins.intern(name);
-  }
-  for (index_t e = 0; e < h.num_edges(); ++e) {
-    std::string name = "f";
-    name += std::to_string(e);
-    data.complex_names.push_back(std::move(name));
-  }
+  data.proteins = bio::NameTable::numbered('v', h.num_vertices());
+  data.complex_names = bio::NameTable::numbered('f', h.num_edges());
   data.hypergraph = std::move(h);
   return data;
 }
@@ -237,9 +230,11 @@ int cmd_pajek(const Args& args, std::ostream& out) {
   const index_t k = static_cast<index_t>(
       args.get_int("k", static_cast<std::int64_t>(cores.max_core)));
 
+  const bio::ComplexDataset& data = session.q.data;
   hyper::save_pajek(
-      hyper::to_pajek_bipartite(h, session.q.data.proteins.names(),
-                                session.q.data.complex_names),
+      hyper::to_pajek_bipartite(
+          h, [&](index_t v) { return data.proteins.name_of(v); },
+          [&](index_t e) { return data.complex_names.name_of(e); }),
       prefix + ".net");
   hyper::save_pajek(
       hyper::to_pajek_partition(hyper::fig3_classes(

@@ -24,9 +24,12 @@
 
 namespace hp::cli {
 
-/// Load any supported file into a ComplexDataset. Formats without
-/// protein names get synthetic "v<i>" / "f<i>" names so every command
-/// can report names uniformly. Throws on parse/I-O errors.
+/// Load any supported file into a ComplexDataset and validate its
+/// structure (hyper::validate). Formats without protein names get the
+/// numbered "v<i>" / "f<i>" names of bio::NameTable, computed when a
+/// command prints them rather than built per id, so a nameless load
+/// costs the read plus one validation pass. Throws on parse/I-O errors
+/// and on a structurally invalid file.
 bio::ComplexDataset load_dataset(const std::string& path);
 
 /// Save a dataset to any supported output format (chosen by

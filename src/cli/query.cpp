@@ -35,10 +35,14 @@ int query_stats(QuerySession& session, const Args& args, std::ostream& out) {
     out << "diameter                  : " << paths.diameter << '\n'
         << "average path length       : " << paths.average_length << '\n';
   }
-  const PowerLawFit fit =
-      hyper::vertex_degree_power_law(ctx.vertex_degree_histogram());
-  out << "degree power-law exponent : " << fit.gamma
-      << " (R^2 = " << fit.r_squared << ")\n";
+  const Histogram& degrees = ctx.vertex_degree_histogram();
+  out << "degree power-law exponent : ";
+  if (fit_point_count(degrees.frequencies()) < 2) {
+    out << "n/a (fewer than two distinct degrees)\n";
+  } else {
+    const PowerLawFit fit = hyper::vertex_degree_power_law(degrees);
+    out << fit.gamma << " (R^2 = " << fit.r_squared << ")\n";
+  }
   maybe_context_stats(args, ctx, out);
   return 0;
 }
@@ -129,7 +133,7 @@ int query_match(QuerySession& session, const Args& args, std::ostream& out) {
   const std::size_t limit =
       static_cast<std::size_t>(args.get_int("limit", 20));
   for (std::size_t i = 0; i < m.edges.size() && i < limit; ++i) {
-    out << ' ' << session.data.complex_names[m.edges[i]];
+    out << ' ' << session.data.complex_names.name_of(m.edges[i]);
   }
   if (m.edges.size() > limit) out << " ...";
   out << '\n';

@@ -229,8 +229,18 @@ SubHypergraph induce(const Hypergraph& h, const std::vector<bool>& keep_vertex,
 }
 
 void validate(const Hypergraph& h) {
+  using offset_t = Hypergraph::offset_t;
   const index_t nv = h.num_vertices();
   const index_t ne = h.num_edges();
+  const std::span<const offset_t> voff = h.vertex_offsets();
+  const std::span<const index_t> vadj = h.vertex_adjacency();
+  // Transpose walk: edges are visited in ascending id order, so vertex
+  // v's sorted incidence list must be consumed front to back --
+  // cursor[v] is the next position in vadj that v's next edge must
+  // occupy. Matching every pin this way (and ending every cursor at
+  // its list's end, below) proves the two sides are exact transposes,
+  // in O(pins) with no per-incidence search.
+  std::vector<offset_t> cursor(voff.begin(), voff.begin() + nv);
   count_t pins_from_edges = 0;
   for (index_t e = 0; e < ne; ++e) {
     const auto members = h.vertices_of(e);
@@ -241,6 +251,14 @@ void validate(const Hypergraph& h) {
                "validate: duplicate vertex in edge");
     for (index_t v : members) {
       HP_REQUIRE(v < nv, "validate: member vertex out of range");
+      offset_t& at = cursor[v];
+      HP_REQUIRE(at != voff[v + 1] && vadj[at] <= e,
+                 "validate: incidence asymmetry (edge lists vertex, vertex "
+                 "lacks edge)");
+      HP_REQUIRE(vadj[at] == e,
+                 "validate: incidence asymmetry (vertex lists edge, edge "
+                 "lacks vertex)");
+      ++at;
     }
     pins_from_edges += members.size();
   }
@@ -253,10 +271,10 @@ void validate(const Hypergraph& h) {
                "validate: vertex incidence list not sorted");
     for (index_t e : edges) {
       HP_REQUIRE(e < ne, "validate: incident edge out of range");
-      HP_REQUIRE(h.edge_contains(e, v),
-                 "validate: incidence asymmetry (vertex lists edge, edge "
-                 "lacks vertex)");
     }
+    HP_REQUIRE(cursor[v] == voff[v + 1],
+               "validate: incidence asymmetry (vertex lists edge, edge "
+               "lacks vertex)");
     pins_from_vertices += edges.size();
   }
   HP_REQUIRE(pins_from_vertices == h.num_pins(),

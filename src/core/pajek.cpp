@@ -18,6 +18,32 @@ std::string quote(const std::string& label) {
 }  // namespace
 
 std::string to_pajek_bipartite(const Hypergraph& h,
+                               const PajekLabel& vertex_label,
+                               const PajekLabel& edge_label) {
+  std::ostringstream out;
+  const index_t total = h.num_vertices() + h.num_edges();
+  // Two-mode header: total node count, then the size of the first mode.
+  out << "*Vertices " << total << ' ' << h.num_vertices() << '\n';
+  for (index_t v = 0; v < h.num_vertices(); ++v) {
+    const std::string label =
+        vertex_label ? vertex_label(v) : "v" + std::to_string(v);
+    out << (v + 1) << ' ' << quote(label) << '\n';
+  }
+  for (index_t e = 0; e < h.num_edges(); ++e) {
+    const std::string label =
+        edge_label ? edge_label(e) : "f" + std::to_string(e);
+    out << (h.num_vertices() + e + 1) << ' ' << quote(label) << '\n';
+  }
+  out << "*Edges\n";
+  for (index_t e = 0; e < h.num_edges(); ++e) {
+    for (index_t v : h.vertices_of(e)) {
+      out << (v + 1) << ' ' << (h.num_vertices() + e + 1) << '\n';
+    }
+  }
+  return out.str();
+}
+
+std::string to_pajek_bipartite(const Hypergraph& h,
                                const std::vector<std::string>& vertex_labels,
                                const std::vector<std::string>& edge_labels) {
   if (!vertex_labels.empty()) {
@@ -28,27 +54,11 @@ std::string to_pajek_bipartite(const Hypergraph& h,
     HP_REQUIRE(edge_labels.size() == h.num_edges(),
                "to_pajek_bipartite: edge label count mismatch");
   }
-  std::ostringstream out;
-  const index_t total = h.num_vertices() + h.num_edges();
-  // Two-mode header: total node count, then the size of the first mode.
-  out << "*Vertices " << total << ' ' << h.num_vertices() << '\n';
-  for (index_t v = 0; v < h.num_vertices(); ++v) {
-    const std::string label =
-        vertex_labels.empty() ? "v" + std::to_string(v) : vertex_labels[v];
-    out << (v + 1) << ' ' << quote(label) << '\n';
-  }
-  for (index_t e = 0; e < h.num_edges(); ++e) {
-    const std::string label =
-        edge_labels.empty() ? "f" + std::to_string(e) : edge_labels[e];
-    out << (h.num_vertices() + e + 1) << ' ' << quote(label) << '\n';
-  }
-  out << "*Edges\n";
-  for (index_t e = 0; e < h.num_edges(); ++e) {
-    for (index_t v : h.vertices_of(e)) {
-      out << (v + 1) << ' ' << (h.num_vertices() + e + 1) << '\n';
-    }
-  }
-  return out.str();
+  const auto from = [](const std::vector<std::string>& labels) -> PajekLabel {
+    if (labels.empty()) return {};
+    return [&labels](index_t id) { return labels[id]; };
+  };
+  return to_pajek_bipartite(h, from(vertex_labels), from(edge_labels));
 }
 
 std::string to_pajek_partition(const std::vector<Fig3Class>& classes) {

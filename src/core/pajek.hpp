@@ -13,6 +13,7 @@
 // One-mode graphs (projections) can also be exported.
 #pragma once
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -29,13 +30,21 @@ enum class Fig3Class : int {
   kCoreComplex = 3,  ///< green
 };
 
-/// Two-mode Pajek network of the hypergraph. `vertex_labels` /
-/// `edge_labels` are optional (empty = use generic v<i> / f<i> names);
-/// when given they must match the vertex/edge counts.
-std::string to_pajek_bipartite(
-    const Hypergraph& h,
-    const std::vector<std::string>& vertex_labels = {},
-    const std::vector<std::string>& edge_labels = {});
+/// Label of one node, by its vertex or hyperedge id.
+using PajekLabel = std::function<std::string(index_t)>;
+
+/// Two-mode Pajek network of the hypergraph. `vertex_label` /
+/// `edge_label` are optional (empty = use generic v<i> / f<i> names) and
+/// are called once per node, so labels need not exist up front.
+std::string to_pajek_bipartite(const Hypergraph& h,
+                               const PajekLabel& vertex_label = {},
+                               const PajekLabel& edge_label = {});
+
+/// The same from label vectors (empty = generic names); when given they
+/// must match the vertex/edge counts.
+std::string to_pajek_bipartite(const Hypergraph& h,
+                               const std::vector<std::string>& vertex_labels,
+                               const std::vector<std::string>& edge_labels);
 
 /// Pajek .clu partition for the bipartite network: one class id per
 /// node (proteins first, then complexes), from the Fig3Class of each.

@@ -70,6 +70,14 @@ void collect_points(const std::vector<std::size_t>& frequencies,
 }
 }  // namespace
 
+std::size_t fit_point_count(const std::vector<std::size_t>& frequencies) {
+  std::size_t points = 0;
+  for (std::size_t d = 1; d < frequencies.size(); ++d) {
+    if (frequencies[d] != 0) ++points;
+  }
+  return points;
+}
+
 PowerLawFit power_law_fit(const std::vector<std::size_t>& frequencies) {
   std::vector<double> xs, ys;
   collect_points(frequencies, /*log_x=*/true, xs, ys);

@@ -38,6 +38,11 @@ struct PowerLawFit {
 /// log-log plot is drawn. Requires >= 2 usable points.
 PowerLawFit power_law_fit(const std::vector<std::size_t>& frequencies);
 
+/// Number of points power_law_fit / exponential_fit would use (values
+/// d >= 1 with nonzero frequency). Both fits need at least two; check
+/// this first to report "no fit" instead of catching their throw.
+std::size_t fit_point_count(const std::vector<std::size_t>& frequencies);
+
 /// Result of an exponential fit P(d) = c * exp(-lambda d), via least
 /// squares on semi-log points. Used to show complex sizes fit neither
 /// model well (paper section 2).

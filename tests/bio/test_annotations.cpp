@@ -43,7 +43,7 @@ TEST(SimulateAnnotations, RejectsOutOfRangeCoreIds) {
 }
 
 TEST(AnnotationsIo, RoundTrip) {
-  ProteinRegistry reg;
+  NameTable reg;
   reg.intern("A");
   reg.intern("B");
   reg.intern("C");
@@ -58,7 +58,7 @@ TEST(AnnotationsIo, RoundTrip) {
 }
 
 TEST(AnnotationsIo, UnknownProteinsSkipped) {
-  ProteinRegistry reg;
+  NameTable reg;
   reg.intern("A");
   const AnnotationSet a = parse_annotations(
       "A essential homolog known\nZZZ essential homolog known\n", reg);
@@ -66,7 +66,7 @@ TEST(AnnotationsIo, UnknownProteinsSkipped) {
 }
 
 TEST(AnnotationsIo, RejectsMalformedLines) {
-  ProteinRegistry reg;
+  NameTable reg;
   reg.intern("A");
   EXPECT_THROW(parse_annotations("A essential\n", reg), ParseError);
   EXPECT_THROW(parse_annotations("A maybe homolog known\n", reg), ParseError);

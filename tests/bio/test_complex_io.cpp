@@ -15,7 +15,7 @@ TEST(ComplexIo, ParsesTabSeparated) {
   const ComplexDataset d = parse_complex_table(kSample);
   EXPECT_EQ(d.hypergraph.num_edges(), 3u);
   EXPECT_EQ(d.hypergraph.num_vertices(), 7u);  // ARP2 shared
-  EXPECT_EQ(d.complex_names[0], "Arp2/3");
+  EXPECT_EQ(d.complex_names.name_of(0), "Arp2/3");
   // ARP2 is in both complexes.
   const index_t arp2 = d.proteins.id_of("ARP2");
   EXPECT_EQ(d.hypergraph.vertex_degree(arp2), 2u);
@@ -43,7 +43,7 @@ TEST(ComplexIo, RoundTrip) {
   const ComplexDataset back = parse_complex_table(format_complex_table(d));
   EXPECT_EQ(back.hypergraph, d.hypergraph);
   EXPECT_EQ(back.complex_names, d.complex_names);
-  EXPECT_EQ(back.proteins.names(), d.proteins.names());
+  EXPECT_EQ(back.proteins, d.proteins);
 }
 
 TEST(ComplexIo, SingletonComplexSupported) {

@@ -28,7 +28,9 @@ TEST(PaperReport, AnalyzeFillsEveryField) {
   EXPECT_EQ(r.summary.num_vertices, 300u);
   EXPECT_EQ(r.summary.num_edges, 60u);
   EXPECT_GT(r.paths.diameter, 0u);
-  EXPECT_GT(r.degree_fit.gamma, 0.0);
+  ASSERT_TRUE(r.degree_fit.has_value());
+  EXPECT_GT(r.degree_fit->gamma, 0.0);
+  EXPECT_TRUE(r.size_fits.has_value());
   EXPECT_GE(r.max_core, 2u);
   EXPECT_GT(r.core_proteins, 0u);
   EXPECT_GT(r.cover_unit_size, 0u);

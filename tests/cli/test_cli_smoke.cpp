@@ -23,7 +23,13 @@ Args make_args(std::initializer_list<const char*> argv) {
 class CliSmokeTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    table_path_ = ::testing::TempDir() + "/cli_smoke_complexes.tsv";
+    // One file per test: ctest runs tests as parallel processes, and a
+    // shared name would let one test's TearDown delete another's input.
+    const char* test = testing::UnitTest::GetInstance()
+                           ->current_test_info()
+                           ->name();
+    table_path_ =
+        ::testing::TempDir() + "/cli_smoke_complexes_" + test + ".tsv";
     std::ofstream out(table_path_);
     out << "Arp23\tARP2\tARP3\tARC15\n"
         << "SAGA\tGCN5\tADA2\tSPT7\tARP2\n"

@@ -22,7 +22,12 @@ class CliTest : public ::testing::Test {
  protected:
   void SetUp() override {
     dir_ = ::testing::TempDir();
-    table_path_ = dir_ + "/cli_complexes.tsv";
+    // One file per test: ctest runs tests as parallel processes, and a
+    // shared name would let one test's TearDown delete another's input.
+    const char* test = testing::UnitTest::GetInstance()
+                           ->current_test_info()
+                           ->name();
+    table_path_ = dir_ + "/cli_complexes_" + test + ".tsv";
     std::ofstream out(table_path_);
     out << "Arp23\tARP2\tARP3\tARC15\n"
         << "SAGA\tGCN5\tADA2\tSPT7\tARP2\n"
@@ -50,6 +55,26 @@ TEST_F(CliTest, StatsCommand) {
   EXPECT_EQ(rc, 0);
   EXPECT_NE(out.str().find("|V| (vertices)"), std::string::npos);
   EXPECT_NE(out.str().find("6"), std::string::npos);  // 6 distinct proteins
+}
+
+TEST_F(CliTest, StatsAndReportOnSingleDegreeDataset) {
+  // One complex: every protein has degree 1, so no power law can be
+  // fitted. The summary is still valid and the command succeeds.
+  const std::string path = dir_ + "/cli_single_degree.tsv";
+  {
+    std::ofstream out(path);
+    out << "A\tP1\tP2\n";
+  }
+  std::ostringstream stats;
+  EXPECT_EQ(cmd_stats(make_args({"stats", path.c_str()}), stats), 0);
+  EXPECT_NE(stats.str().find("degree power-law exponent : n/a (fewer than "
+                             "two distinct degrees)\n"),
+            std::string::npos)
+      << stats.str();
+  std::ostringstream report;
+  EXPECT_EQ(cmd_report(make_args({"report", path.c_str()}), report), 0);
+  EXPECT_NE(report.str().find("n/a"), std::string::npos) << report.str();
+  std::remove(path.c_str());
 }
 
 TEST_F(CliTest, CoreCommandListsLadderAndNames) {

@@ -92,7 +92,7 @@ TEST(FuzzParsers, ComplexTable) {
 }
 
 TEST(FuzzParsers, Annotations) {
-  bio::ProteinRegistry reg;
+  bio::NameTable reg;
   reg.intern("P1");
   reg.intern("P2");
   const std::string valid =

@@ -5,11 +5,14 @@
 // -- shows up here as a byte diff on a realistic surrogate dataset.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "cli/commands.hpp"
+#include "core/snapshot/snapshot.hpp"
 #include "serve/server.hpp"
 #include "util/common.hpp"
 
@@ -126,6 +129,52 @@ TEST_F(ServeGoldenTest, ContextStatsFlagWorksThroughTheServer) {
   EXPECT_NE(response.output.find("context artifact counters"),
             std::string::npos)
       << response.output;
+}
+
+TEST(ServeEdgeCases, SingleDegreeDatasetMatchesOneShotCli) {
+  // Every protein has degree 1: there is no power law to fit, and both
+  // paths must say so identically instead of failing the request.
+  const std::string path = ::testing::TempDir() + "/single_degree.tsv";
+  {
+    std::ofstream out{path};
+    out << "A\tP1\tP2\n";
+  }
+  ServerOptions opts;
+  opts.endpoint = parse_endpoint(::testing::TempDir() + "/single.sock");
+  Server server{std::move(opts)};
+  for (const std::string command : {"stats", "report"}) {
+    std::string one_shot;
+    ASSERT_EQ(run_cli({command, path}, &one_shot), 0) << one_shot;
+    proto::Request request;
+    request.command = command;
+    request.path = path;
+    const proto::Response response = server.handle(request);
+    ASSERT_TRUE(response.ok) << command << ": " << response.error;
+    EXPECT_EQ(strip_timing(response.output), strip_timing(one_shot))
+        << command;
+    EXPECT_NE(one_shot.find("n/a"), std::string::npos) << one_shot;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(ServeEdgeCases, InconsistentSnapshotIsRejected) {
+  // Vertex side [[0, 0], []] is not the transpose of e0 = {0, 1}.
+  const std::string path =
+      ::testing::TempDir() + "/serve_transpose_mismatch.hps";
+  hyper::snapshot::save(
+      hyper::Hypergraph::adopt_owned({0, 2, 2}, {0, 0}, {0, 2}, {0, 1}),
+      path);
+  ServerOptions opts;
+  opts.endpoint = parse_endpoint(::testing::TempDir() + "/mismatch.sock");
+  Server server{std::move(opts)};
+  proto::Request request;
+  request.command = "stats";
+  request.path = path;
+  const proto::Response response = server.handle(request);
+  EXPECT_FALSE(response.ok) << response.output;
+  EXPECT_NE(response.error.find("incidence asymmetry"), std::string::npos)
+      << response.error;
+  std::remove(path.c_str());
 }
 
 }  // namespace
