@@ -9,11 +9,10 @@
 // The trend being reproduced: run time grows with the core size and
 // with Delta_2,F.
 //
-// The peel-substrate counters (overlap decrements, containment probes,
+// The peel-substrate counters (containment probes, cascaded deletions,
 // peel rounds) are reported per row with --peel-stats, making the
-// O(|E| (Delta_2,F + Delta_V ln Delta_2,F)) complexity claim an
-// observable: decrements + probes should track |E| * Delta_2,F across
-// the sweep, not |F|^2.
+// complexity claim an observable: probes should track |E| * Delta_2,F
+// across the sweep, not |F|^2.
 //
 // Usage: bench_table1_cores [--seed N] [--skip-large] [--peel-stats]
 //                           [--trace out.json]
@@ -141,12 +140,11 @@ int main(int argc, char** argv) {
 
   if (peel_stats) {
     std::puts("\n=== peel substrate counters ===");
-    hp::Table counters{{"hypergraph", "ov decr", "probes", "cascaded",
-                        "rounds", "peak queue"}};
+    hp::Table counters{{"hypergraph", "probes", "cascaded", "rounds",
+                        "peak queue"}};
     for (std::size_t i = 0; i < items.size(); ++i) {
       counters.row()
           .cell(items[i].name)
-          .cell(stats[i].overlap_decrements)
           .cell(stats[i].containment_probes)
           .cell(stats[i].cascaded_edge_deletions)
           .cell(stats[i].peel_rounds)
@@ -158,7 +156,8 @@ int main(int argc, char** argv) {
   std::puts(
       "\ntrend reproduced from the paper: run time grows with core size "
       "and Delta_2,F; large cores (stiffness/fluid rows) dominate the "
-      "sweep, motivating the parallel algorithm (see bench_micro_kcore).");
+      "sweep; the peel is the bulk-synchronous parallel algorithm the paper "
+      "calls for (see bench_micro_kcore).");
   if (!trace_path.empty()) {
     hp::obs::write_chrome_trace_file(trace_path);
     std::printf("\nwrote trace %s\n", trace_path.c_str());

@@ -13,7 +13,6 @@
 #include "core/hypergraph_io.hpp"
 #include "core/kcore.hpp"
 #include "core/kcore_naive.hpp"
-#include "core/kcore_parallel.hpp"
 #include "core/multicover.hpp"
 #include "core/overlap.hpp"
 #include "core/pajek.hpp"
@@ -40,46 +39,26 @@ void fail(std::vector<CheckFailure>& failures, const char* oracle,
   failures.push_back(CheckFailure{oracle, std::move(detail)});
 }
 
-/// Compare two core decompositions field-by-field (edge_core is
-/// deliberately excluded: the representative choice among identical
-/// residual edges is implementation-defined, see kcore.hpp).
-void diff_cores(const hyper::HyperCoreResult& a,
-                const hyper::HyperCoreResult& b, const char* label,
-                std::vector<CheckFailure>& failures) {
-  if (a.max_core != b.max_core) {
-    fail(failures, "core_agreement",
-         std::string{label} + ": max_core " + std::to_string(a.max_core) +
-             " vs " + std::to_string(b.max_core));
-  }
-  if (a.vertex_core != b.vertex_core) {
-    fail(failures, "core_agreement",
-         std::string{label} + ": vertex core numbers differ");
-  }
-  if (a.level_vertices != b.level_vertices) {
-    fail(failures, "core_agreement",
-         std::string{label} + ": per-level vertex counts differ");
-  }
-  if (a.level_edges != b.level_edges) {
-    fail(failures, "core_agreement",
-         std::string{label} + ": per-level edge counts differ");
-  }
-}
-
-/// Stricter comparison for same-discipline engine pairs (frontier vs
-/// legacy scan seeding): those are required to be fully bit-identical,
-/// including the edge representative choice and the reduction mask.
+/// Compare two core decompositions field by field. Every engine must
+/// agree on every byte: among identical residual edges the lowest id
+/// survives (kcore.hpp), so edge cores and reduction masks are
+/// canonical too.
 void diff_cores_exact(const hyper::HyperCoreResult& a,
                       const hyper::HyperCoreResult& b, const char* label,
                       std::vector<CheckFailure>& failures) {
-  diff_cores(a, b, label, failures);
-  if (a.edge_core != b.edge_core) {
-    fail(failures, "core_agreement",
-         std::string{label} + ": edge core numbers differ");
-  }
-  if (a.in_reduced != b.in_reduced) {
-    fail(failures, "core_agreement",
-         std::string{label} + ": reduction masks differ");
-  }
+  const auto differs = [&](bool differ, const std::string& what) {
+    if (differ) {
+      fail(failures, "core_agreement", std::string{label} + ": " + what);
+    }
+  };
+  differs(a.max_core != b.max_core, "max_core " + std::to_string(a.max_core) +
+                                        " vs " + std::to_string(b.max_core));
+  differs(a.vertex_core != b.vertex_core, "vertex core numbers differ");
+  differs(a.edge_core != b.edge_core, "edge core numbers differ");
+  differs(a.in_reduced != b.in_reduced, "reduction masks differ");
+  differs(a.level_vertices != b.level_vertices,
+          "per-level vertex counts differ");
+  differs(a.level_edges != b.level_edges, "per-level edge counts differ");
 }
 
 }  // namespace
@@ -107,16 +86,11 @@ void check_core_agreement(const Hypergraph& h, bool with_naive,
                           std::vector<CheckFailure>& failures) {
   const hyper::HyperCoreResult fast = hyper::core_decomposition(h);
   if (with_naive) {
-    diff_cores(fast, hyper::core_decomposition_naive(h), "naive", failures);
+    diff_cores_exact(fast, hyper::core_decomposition_naive(h), "naive",
+                     failures);
   }
-  const hyper::HyperCoreResult parallel = hyper::core_decomposition_parallel(h);
-  diff_cores(fast, parallel, "parallel", failures);
-  // Frontier engines vs their legacy scan-seeded twins: these share the
-  // cascade code and must agree on every byte of the result.
   diff_cores_exact(fast, hyper::core_decomposition_scan(h), "frontier-vs-scan",
                    failures);
-  diff_cores_exact(parallel, hyper::core_decomposition_parallel_scan(h),
-                   "par-frontier-vs-scan", failures);
 
   // Level counts must match the per-vertex representation, and cores
   // are nested, so the counts are non-increasing in k.
@@ -388,7 +362,7 @@ void check_context(const Hypergraph& h, std::vector<CheckFailure>& failures) {
     fail(failures, "context", "cached reduced != cold reduce");
   }
   const hyper::HyperCoreResult cold = hyper::core_decomposition(h);
-  diff_cores(context.cores(), cold, "context-vs-cold", failures);
+  diff_cores_exact(context.cores(), cold, "context-vs-cold", failures);
 
   const hyper::HypergraphSummary cached = context.summary();
   const hyper::HypergraphSummary cold_summary = hyper::summarize(h);

@@ -3,11 +3,11 @@
 // Each oracle takes one hypergraph instance and checks a property that
 // must hold on EVERY input, not just the Cellzome dataset:
 //
-//   * core agreement  -- the overlap peel (kcore), the set-comparison
-//     reference (kcore_naive) and the bulk-synchronous parallel peel
-//     must produce identical vertex core numbers, level sizes and
-//     maximum core; every extracted k-core must satisfy the paper's
-//     core conditions (reduced + min degree k).
+//   * core agreement  -- the bulk frontier peel (kcore), its scan twin
+//     and the set-comparison reference (kcore_naive) must produce
+//     bit-identical decompositions (vertex and edge cores, reduction
+//     mask, level sizes, maximum core); every extracted k-core must
+//     satisfy the paper's core conditions (reduced + min degree k).
 //   * generalized core -- the kNeighborhood measure peel must equal the
 //     classic graph k-core of the clique expansion (they are the same
 //     algorithm on the same residual degrees); kDegree values are

@@ -1,5 +1,6 @@
 #include "check/protocol_fuzz.hpp"
 
+#include <iterator>
 #include <optional>
 
 #include "check/generator.hpp"
@@ -202,6 +203,21 @@ std::vector<std::string> hostile_request_frames(Rng& rng) {
   oversized.append(proto::kMaxFrameBytes - oversized.size(), 'x');
   oversized += "\"}";
   frames.push_back(oversized);
+
+  // Bogus commands shaped like metric names: the server keys latency
+  // histograms by command, so a name is only accepted from the
+  // [a-z0-9_-] alphabet. A random name with one foreign character
+  // (separator, label syntax, uppercase, non-ASCII) must not parse.
+  static const char* const kForeign[] = {".", ":", "/", "{", "}", "=",
+                                         " ", "#", "Q", "$", "\xc3\xa9"};
+  for (int i = 0; i < 8; ++i) {
+    std::string name = random_name(rng, proto::kMaxCommandLength - 2);
+    name.insert(rng.pick(name.size() + 1),
+                kForeign[rng.pick(std::size(kForeign))]);
+    frames.push_back("{\"cmd\": \"" + name + "\"}");
+  }
+  frames.push_back("{\"cmd\": \"server.cmd.stats_ns\"}");
+  frames.push_back("{\"cmd\": \"stats_ns{le=\\\"1\\\"}\"}");
 
   // A random mid-frame raw newline (the framing delimiter).
   std::string newline_frame = "{\"cmd\": \"stats\"}";

@@ -10,7 +10,8 @@
 //     duplication, deletions) and parse the wreckage;
 //   * hostile construction  -- adversarial frames built directly:
 //     deep nesting ("[[[["), huge tokens, wrong types, duplicate keys,
-//     surrogate escapes, NUL bytes, oversized frames, empty input;
+//     surrogate escapes, NUL bytes, oversized frames, empty input, and
+//     bogus commands carrying metric-name syntax;
 //   * round-trip            -- parse(format(x)) must reproduce x
 //     exactly for every valid request/response, including args order.
 //

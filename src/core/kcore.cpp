@@ -6,6 +6,7 @@
 #include "core/peel/frontier.hpp"
 #include "core/peel/peel.hpp"
 #include "obs/trace.hpp"
+#include "par/thread_pool.hpp"
 
 namespace hp::hyper {
 
@@ -27,165 +28,37 @@ std::vector<index_t> HyperCoreResult::core_edges(index_t k) const {
 
 namespace {
 
-/// Sequential overlap-maintaining peel policy (the paper's Fig. 4) on
-/// top of the shared substrate: the substrate owns alive masks, residual
-/// degrees/sizes and core stamping; this class owns only the work queue
-/// and the threshold rule.
-///
-/// Two frontier disciplines share the cascade:
-///   * kFrontier (default) -- level seeds come from lazy degree buckets
-///     (FrontierBuckets): every degree drop during the peel pushes a
-///     (vertex, new-degree) hint, and entering level k drains buckets
-///     0..k-1, so seeding costs O(degree drops) over the whole run.
-///   * kScan (legacy, kept as the differential-testing oracle) -- each
-///     level rescans all |V| vertices for degree < k.
-/// Both produce bit-identical results: after level k-1 every live
-/// vertex has degree >= k-1, so a level-k seed has degree exactly k-1
-/// and therefore an undrained entry in bucket k-1 (its last drop, or
-/// its initial fill); draining, filtering stale entries and sorting
-/// ascending reproduces the scan's seed order, and the in-level LIFO
-/// cascade is byte-for-byte the same code.
-class OverlapPeeler {
- public:
-  OverlapPeeler(const Hypergraph& h, HyperCoreResult& result,
-                PeelStats& stats, PeelEngine engine)
-      : h_(h),
-        residual_(h),
-        overlaps_(h),
-        stats_(stats),
-        engine_(engine),
-        in_queue_(h.num_vertices(), false) {
-    residual_.bind_stats(&stats);
-    residual_.bind_cores(&result.vertex_core, &result.edge_core);
-  }
+/// Frontier discipline. kFrontier is the production engine; kScan
+/// re-derives every round's frontier with an O(|V|) pass and is kept as
+/// the differential-testing oracle (the two must stay bit-identical;
+/// tests/core/test_frontier_peel.cpp enforces it).
+enum class PeelEngine { kFrontier, kScan };
 
-  const ResidualHypergraph& residual() const { return residual_; }
+/// Chunk size for the bulk erase phases: each item does degree(v) /
+/// size(f) work, so a few dozen amortize the chunk-claim fetch_add.
+constexpr index_t kEraseGrain = 32;
 
-  /// Remove every non-maximal edge currently present. This is the
-  /// initial reduction required before the level-1 peel (the k-core must
-  /// be a *reduced* sub-hypergraph). Cascades are not needed here --
-  /// removing edges only lowers vertex degrees, which the subsequent
-  /// peel handles.
-  void initial_reduction() {
-    residual_.set_peel_level(0);
-    for (index_t f = 0; f < h_.num_edges(); ++f) {
-      if (!residual_.edge_alive(f)) continue;
-      if (find_container(residual_, overlaps_, f, &stats_) != kInvalidIndex) {
-        residual_.erase_edge(f);
-      }
-    }
-  }
+/// Sort + unique a frontier candidate list in place, charging dropped
+/// duplicates to frontier_wasted. Determinism: the surviving order is
+/// ascending regardless of which lane produced which entry.
+void sort_unique_frontier(std::vector<index_t>& frontier, PeelStats& stats) {
+  std::sort(frontier.begin(), frontier.end());
+  const auto last = std::unique(frontier.begin(), frontier.end());
+  stats.frontier_wasted += static_cast<count_t>(frontier.end() - last);
+  frontier.erase(last, frontier.end());
+}
 
-  /// Build the frontier bucket queue from post-reduction degrees (one
-  /// initial-fill push per vertex; every later degree drop adds one
-  /// more). Reduction only deletes edges, so all vertices are live.
-  /// No-op for the scan engine.
-  void prepare_frontier() {
-    if (engine_ != PeelEngine::kFrontier) return;
-    index_t max_degree = 0;
-    for (index_t v = 0; v < h_.num_vertices(); ++v) {
-      max_degree = std::max(max_degree, residual_.vertex_degree(v));
-    }
-    buckets_.emplace(max_degree, &stats_);
-    for (index_t v = 0; v < h_.num_vertices(); ++v) {
-      buckets_->push(v, residual_.vertex_degree(v));
-    }
-  }
-
-  /// Peel at level k: repeatedly remove vertices of residual degree < k,
-  /// cascading edge deletions, until every live vertex has degree >= k.
-  /// Removed items are stamped with core number k - 1 by the substrate.
-  void peel(index_t k) {
-    residual_.set_peel_level(k);
-    ++stats_.peel_rounds;
-    if (engine_ == PeelEngine::kFrontier) {
-      // Seeds = stale-filtered drain of buckets 0..k-1, sorted ascending
-      // to reproduce the scan's seed order exactly (the LIFO cascade
-      // then processes the highest-id seed first, as before).
-      HP_TRACE_SPAN("peel.frontier", k);
-      seeds_.clear();
-      buckets_->drain_below(
-          k,
-          [&](index_t v) {
-            if (!residual_.vertex_alive(v) || in_queue_[v]) return false;
-            in_queue_[v] = true;
-            return true;
-          },
-          seeds_);
-      std::sort(seeds_.begin(), seeds_.end());
-      for (index_t v : seeds_) {
-        queue_.push_back(v);
-        stats_.note_queue_length(queue_.size());
-      }
-    } else {
-      // Legacy discipline: full vertex scan for sub-threshold seeds.
-      for (index_t v = 0; v < h_.num_vertices(); ++v) {
-        if (residual_.vertex_alive(v) && residual_.vertex_degree(v) < k) {
-          enqueue(v);
-        }
-      }
-    }
-    while (!queue_.empty()) {
-      const index_t v = queue_.back();
-      queue_.pop_back();
-      in_queue_[v] = false;
-      if (!residual_.vertex_alive(v)) continue;
-      delete_vertex(v, k);
-    }
-  }
-
- private:
-  void enqueue(index_t v) {
-    if (!in_queue_[v]) {
-      in_queue_[v] = true;
-      queue_.push_back(v);
-      stats_.note_queue_length(queue_.size());
-    }
-  }
-
-  /// Remove vertex v: take it out of every live edge, maintaining edge
-  /// sizes and pairwise overlaps, then delete edges that stopped being
-  /// maximal.
-  void delete_vertex(index_t v, index_t k) {
-    touched_.clear();
-    residual_.erase_vertex(v, touched_);
-
-    // Every pair of touched edges loses one unit of overlap (they shared
-    // v); this is the O(d(v)^2) update from the paper's analysis.
-    overlaps_.decrement_clique(touched_, &stats_);
-
-    // Only edges whose cardinality just dropped can have become
-    // non-maximal.
-    for (index_t f : touched_) {
-      if (!residual_.edge_alive(f)) continue;  // deleted earlier here
-      if (find_container(residual_, overlaps_, f, &stats_) != kInvalidIndex) {
-        residual_.erase_edge(f, [&](index_t w, index_t degree) {
-          if (degree < k) {
-            enqueue(w);
-          } else if (engine_ == PeelEngine::kFrontier) {
-            // Still above threshold: remember the drop as a lazy hint
-            // for the level that will eventually reach this degree.
-            buckets_->push(w, degree);
-          }
-        });
-      }
-    }
-  }
-
-  const Hypergraph& h_;
-  ResidualHypergraph residual_;
-  FlatOverlapTracker overlaps_;
-  PeelStats& stats_;
-  PeelEngine engine_;
-  std::optional<FrontierBuckets> buckets_;
-  std::vector<bool> in_queue_;
-  std::vector<index_t> queue_;
-  std::vector<index_t> seeds_;
-  std::vector<index_t> touched_;
-};
-
-/// Shared driver for both sequential engines; only the seed discipline
-/// differs inside OverlapPeeler.
+/// Shared driver for both engines. The scan engine re-derives every
+/// round's frontier with an O(|V|) pass; the frontier engine maintains
+/// it from per-lane degree-drop bags (in-level) and lazy degree buckets
+/// (across levels), and erases frontiers/doomed batches in parallel
+/// with atomic counter decrements. Both are bit-identical in every
+/// output field: the round-1 frontier of level k is exactly {live v :
+/// degree < k} either way (every live vertex keeps a bucket entry at
+/// its current degree), later rounds' frontiers are exactly the
+/// vertices dropped below k by the previous round's edge deletions, and
+/// find_non_maximal is order-independent with a deterministic lowest-id
+/// tie-break.
 HyperCoreResult core_decomposition_impl(const Hypergraph& h,
                                         PeelStats* stats,
                                         PeelEngine engine) {
@@ -195,42 +68,164 @@ HyperCoreResult core_decomposition_impl(const Hypergraph& h,
   result.edge_core.assign(h.num_edges(), 0);
 
   PeelStats local;
-  OverlapPeeler peeler{h, result, local, engine};
+  ResidualHypergraph residual{h};
+  residual.bind_stats(&local);
+  residual.bind_cores(&result.vertex_core, &result.edge_core);
+
+  // Initial reduction: delete every non-maximal edge, re-seeding the
+  // verification sweep from doomed-edge neighborhoods (not a full
+  // rescan -- see erase_non_maximal for the fixpoint argument).
   {
     HP_TRACE_SPAN("kcore.initial_reduction");
-    peeler.initial_reduction();
+    residual.set_peel_level(0);
+    erase_non_maximal(residual, &local);
   }
-  peeler.prepare_frontier();
 
-  // level 0 = reduced input.
-  result.level_vertices.push_back(peeler.residual().live_vertices());
-  result.level_edges.push_back(peeler.residual().live_edges());
+  result.level_vertices.push_back(residual.live_vertices());
+  result.level_edges.push_back(residual.live_edges());
   result.in_reduced.assign(h.num_edges(), 0);
   for (index_t e = 0; e < h.num_edges(); ++e) {
-    result.in_reduced[e] = peeler.residual().edge_alive(e) ? 1 : 0;
+    result.in_reduced[e] = residual.edge_alive(e) ? 1 : 0;
   }
 
-  // The substrate stamps core numbers at deletion time, so the loop only
-  // has to record per-level population counts; no survivor sweeps. Each
-  // level gets its own span (args.k = level) with the cumulative
-  // substrate counters interleaved on the trace timeline, so a 6-core
-  // run shows six peel spans and where the overlap work happened.
+  // Frontier-engine state. Buckets are filled with post-reduction
+  // degrees (all vertices are live -- reduction deletes only edges);
+  // every subsequent drop to a still-above-threshold degree re-enters
+  // the buckets, so each level's seed drain is O(drops), not O(|V|).
+  const int lanes = par::ThreadPool::global().thread_count();
+  std::optional<FrontierBuckets> buckets;
+  std::optional<EpochStamps> edge_stamps;
+  std::optional<LaneDropBags> drop_bags;
+  std::vector<std::vector<index_t>> touched_bags;
+  if (engine == PeelEngine::kFrontier) {
+    index_t max_degree = 0;
+    for (index_t v = 0; v < h.num_vertices(); ++v) {
+      max_degree = std::max(max_degree, residual.vertex_degree(v));
+    }
+    buckets.emplace(max_degree, &local);
+    for (index_t v = 0; v < h.num_vertices(); ++v) {
+      buckets->push(v, residual.vertex_degree(v));
+    }
+    edge_stamps.emplace(h.num_edges());
+    drop_bags.emplace(lanes);
+    touched_bags.resize(static_cast<std::size_t>(lanes));
+  }
+
+  // Core numbers are stamped by the substrate at deletion time; the
+  // level loop only records populations (no survivor sweeps). Each
+  // level gets its own span (args.k = level) with the cumulative probe
+  // counter interleaved on the trace timeline.
+  std::vector<index_t> frontier;
+  std::vector<index_t> touched;
   for (index_t k = 1;; ++k) {
     {
       HP_TRACE_SPAN("kcore.peel_level", k);
-      peeler.peel(k);
+      residual.set_peel_level(k);
+      if (engine == PeelEngine::kFrontier) {
+        // Level seeds: drain buckets 0..k-1 and drop stale entries (dead
+        // vertices, duplicate hints). A live entry below k is genuinely
+        // sub-threshold -- degrees only shrink after the push.
+        HP_TRACE_SPAN("peel.frontier", k);
+        frontier.clear();
+        buckets->drain_below(
+            k, [&](index_t v) { return residual.vertex_alive(v); },
+            frontier);
+        sort_unique_frontier(frontier, local);
+      }
+      // Cascade rounds within this level.
+      for (;;) {
+        if (engine == PeelEngine::kScan) {
+          frontier.clear();
+          for (index_t v = 0; v < h.num_vertices(); ++v) {
+            if (residual.vertex_alive(v) && residual.vertex_degree(v) < k) {
+              frontier.push_back(v);
+            }
+          }
+        }
+        if (frontier.empty()) break;
+        ++local.peel_rounds;
+        local.note_queue_length(frontier.size());
+
+        if (engine == PeelEngine::kScan) {
+          touched.clear();
+          for (index_t v : frontier) residual.erase_vertex(v, touched);
+          for (index_t f : find_non_maximal(residual, touched, &local)) {
+            if (residual.edge_alive(f)) residual.erase_edge(f);
+          }
+          continue;
+        }
+
+        // Phase A: erase the whole frontier in parallel. Vertices are
+        // disjoint per lane; edge sizes shrink atomically; the touched
+        // set is deduplicated via epoch stamps into per-lane bags (no
+        // edge-alive flag changes happen in this phase, so the alive
+        // reads are stable).
+        edge_stamps->next_epoch();
+        par::parallel_for(
+            0, static_cast<index_t>(frontier.size()), kEraseGrain,
+            [&](index_t chunk_begin, index_t chunk_end, int lane) {
+              std::vector<index_t>& bag =
+                  touched_bags[static_cast<std::size_t>(lane)];
+              for (index_t i = chunk_begin; i < chunk_end; ++i) {
+                const index_t v = frontier[i];
+                residual.mark_vertex_dead_bulk(v);
+                for (index_t f : h.edges_of(v)) {
+                  if (!residual.edge_alive(f)) continue;
+                  residual.shrink_edge_atomic(f);
+                  if (edge_stamps->claim(f)) bag.push_back(f);
+                }
+              }
+            });
+        residual.note_bulk_erase(static_cast<index_t>(frontier.size()), 0);
+        touched.clear();
+        for (std::vector<index_t>& bag : touched_bags) {
+          touched.insert(touched.end(), bag.begin(), bag.end());
+          bag.clear();
+        }
+
+        const std::vector<index_t> doomed =
+            find_non_maximal(residual, touched, &local);
+
+        // Phase B: delete the doomed edges in parallel, recording every
+        // degree drop in per-lane bags (vertex-alive flags are stable in
+        // this phase; degree decrements are atomic, and each decrement
+        // observes a distinct new value).
+        par::parallel_for(
+            0, static_cast<index_t>(doomed.size()), kEraseGrain,
+            [&](index_t chunk_begin, index_t chunk_end, int lane) {
+              for (index_t i = chunk_begin; i < chunk_end; ++i) {
+                const index_t f = doomed[i];
+                residual.mark_edge_dead_bulk(f);
+                for (index_t w : h.vertices_of(f)) {
+                  if (!residual.vertex_alive(w)) continue;
+                  drop_bags->record(lane, w, residual.drop_degree_atomic(w));
+                }
+              }
+            });
+        residual.note_bulk_erase(0, static_cast<index_t>(doomed.size()));
+
+        // Route the drops: below threshold feeds the next cascade round,
+        // everything else becomes a lazy bucket hint for future levels.
+        frontier.clear();
+        drop_bags->drain([&](index_t w, index_t degree) {
+          if (degree < k) {
+            ++local.frontier_pushes;
+            frontier.push_back(w);
+          } else {
+            buckets->push(w, degree);
+          }
+        });
+        sort_unique_frontier(frontier, local);
+      }
     }
-    obs::trace_counter("peel.overlap_decrements",
-                       static_cast<double>(local.overlap_decrements));
     obs::trace_counter("peel.containment_probes",
                        static_cast<double>(local.containment_probes));
-    if (peeler.residual().live_vertices() == 0) {
+    if (residual.live_vertices() == 0) {
       result.max_core = k - 1;
       break;
     }
-    // Everything still alive is in the k-core.
-    result.level_vertices.push_back(peeler.residual().live_vertices());
-    result.level_edges.push_back(peeler.residual().live_edges());
+    result.level_vertices.push_back(residual.live_vertices());
+    result.level_edges.push_back(residual.live_edges());
   }
   publish_metrics(local);
   if (stats != nullptr) *stats += local;
@@ -241,10 +236,6 @@ HyperCoreResult core_decomposition_impl(const Hypergraph& h,
 
 HyperCoreResult core_decomposition(const Hypergraph& h, PeelStats* stats) {
   return core_decomposition_impl(h, stats, PeelEngine::kFrontier);
-}
-
-HyperCoreResult core_decomposition(const Hypergraph& h) {
-  return core_decomposition(h, nullptr);
 }
 
 HyperCoreResult core_decomposition_scan(const Hypergraph& h,

@@ -8,12 +8,18 @@
 // hyperedge is deleted as soon as it stops being maximal (including the
 // special case of becoming empty).
 //
-// Non-maximality is detected without set comparisons by maintaining
-// pairwise overlap counts: hyperedge f is contained in a live hyperedge
-// g exactly when f's current cardinality equals its current overlap with
-// g. Complexity: O(|E| (Delta_2,F + Delta_V log Delta_2,F)) as analyzed
-// in the paper (hash maps here replace the paper's balanced trees, making
-// the log factor expected O(1)).
+// Non-maximality is detected without set comparisons by counting
+// overlaps, the paper's trick: hyperedge f is contained in a live
+// hyperedge g exactly when f's current cardinality equals its current
+// overlap with g. The peel is bulk-synchronous on the shared pool
+// (src/par/), the parallel algorithm the paper's section 3 calls for:
+// each round removes the whole sub-threshold frontier at once, then
+// re-checks maximality only for the edges that shrank, with an
+// overlap-counting sweep over their residual members
+// (core/peel/containment.hpp). Frontiers come from lazy degree buckets
+// and per-lane degree-drop bags (core/peel/frontier.hpp), so no round
+// rescans |V|. One lane (par::LaneLimit{1}, or HP_THREADS=1) is the
+// serial path; every lane count gives bit-identical results.
 //
 // The decomposition runs the peel at k = 1, 2, ... on the shrinking
 // residual; core(x) = largest k such that x survives the level-k peel.
@@ -35,8 +41,9 @@ struct HyperCoreResult {
   std::vector<index_t> vertex_core;
   /// edge_core[e] = largest k such that e belongs (as a residual edge)
   /// to the k-core. For groups of hyperedges that become identical during
-  /// peeling, only one representative keeps the higher core value; which
-  /// one is implementation-defined, but the *count* per level is not.
+  /// peeling, only one representative keeps the higher core value: the
+  /// lowest id survives, as in the initial reduction and in
+  /// core_decomposition_naive.
   std::vector<index_t> edge_core;
   /// in_reduced[e] != 0 iff edge e survived the initial reduction (the
   /// level-0 residual). Not derivable from edge_core: reduction-removed
@@ -55,22 +62,18 @@ struct HyperCoreResult {
   std::vector<index_t> core_edges(index_t k) const;
 };
 
-/// Full core decomposition via the overlap-maintaining peel. Level
-/// seeds come from the lazy degree-bucket frontier engine
-/// (core/peel/frontier.hpp), so each level costs O(degree drops)
-/// instead of an O(|V|) rescan.
-HyperCoreResult core_decomposition(const Hypergraph& h);
+/// Full core decomposition via the bulk frontier peel. Substrate
+/// counters (containment probes, deletions, rounds, peak frontier,
+/// frontier pushes/wasted) are accumulated into `*stats` when non-null.
+HyperCoreResult core_decomposition(const Hypergraph& h,
+                                   PeelStats* stats = nullptr);
 
-/// Instrumented variant: substrate counters (overlap decrements,
-/// containment probes, cascades, rounds, peak queue, frontier
-/// pushes/wasted) are accumulated into `*stats` when non-null.
-HyperCoreResult core_decomposition(const Hypergraph& h, PeelStats* stats);
-
-/// Legacy scan-and-stamp engine: identical cascade, but every level
-/// rescans all |V| vertices for sub-threshold seeds. Kept as the
-/// differential-testing oracle for the frontier engine -- results are
+/// Scan twin of core_decomposition: the same rounds, but every round
+/// re-derives its frontier with an O(|V|) rescan instead of the bucket
+/// and bag plumbing. Kept as the differential-testing oracle and the
+/// baseline of the frontier gate (bench_micro_kcore); results are
 /// bit-identical (vertex_core, edge_core, levels, in_reduced) on every
-/// input; only the seeding cost differs.
+/// input, only the frontier cost differs.
 HyperCoreResult core_decomposition_scan(const Hypergraph& h,
                                         PeelStats* stats = nullptr);
 

@@ -22,9 +22,9 @@
 // Correctness of the bounded core repair rests on peeling being
 // component-local: overlaps and containment require shared vertices, so
 // the global peel restricted to one component is exactly that
-// component's own peel (including the LIFO pop order and the
-// duplicate-representative tiebreak, which interleave across components
-// without affecting within-component order). After a mutation, any
+// component's own peel: each bulk round's frontier, containment sweep
+// and lowest-id duplicate tie-break within a component depend only on
+// that component's residual state. After a mutation, any
 // current component containing no seed (dirty vertex or member of a
 // dirty edge) is provably an unchanged old component, so re-peeling the
 // seeded components and splicing is bit-identical to a full re-peel.
@@ -36,7 +36,9 @@
 // invalidated by the next apply()/mutation, exactly like iterators of a
 // std::vector under insert. Parallelism still happens *inside* builds
 // (the rebuild tier's prefetch, path summaries), which is safe because
-// apply() never runs concurrently with them.
+// apply() never runs concurrently with them. The core peel is the
+// exception: cores() runs it under par::LaneLimit{1}, so an edit's
+// latency does not hang on the pool's fork-joins.
 #pragma once
 
 #include <cstdint>

@@ -8,11 +8,10 @@
 // = number of distinct other vertices co-occurring with v, both of which
 // appear in the paper's complexity bounds and in Table 1.
 //
-// Adapter status: storage and lookups live in FlatOverlapTracker
-// (core/peel/flat_overlap.hpp), the CSR-of-rows structure the peeling
-// substrate mutates. This class is the stable read-only facade kept for
-// stats.cpp / Table-1 reporting, the s-overlap census and their tests;
-// new peeling code should use the tracker directly.
+// Storage and lookups live in FlatOverlapTracker
+// (core/peel/flat_overlap.hpp), a read-only CSR-of-rows store. This
+// class is the facade used by stats.cpp / Table-1 reporting, the
+// s-overlap census and their tests.
 #pragma once
 
 #include <utility>
@@ -84,10 +83,6 @@ class OverlapTable {
 
   /// Bytes held by the underlying flat arrays.
   std::size_t storage_bytes() const { return tracker_.storage_bytes(); }
-
-  /// The underlying substrate structure (for peeling code migrating off
-  /// the adapter).
-  const FlatOverlapTracker& tracker() const { return tracker_; }
 
  private:
   FlatOverlapTracker tracker_;

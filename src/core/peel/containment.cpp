@@ -7,34 +7,6 @@
 
 namespace hp::hyper {
 
-index_t find_container(const ResidualHypergraph& residual,
-                       const FlatOverlapTracker& overlaps, index_t f,
-                       PeelStats* stats) {
-  const index_t size_f = residual.edge_size(f);
-  if (size_f == 0) {
-    // Empty residual set: "contained" sentinel. Counted as one probe so
-    // that probes >= cascaded deletions holds.
-    if (stats != nullptr) ++stats->containment_probes;
-    return f;
-  }
-  const auto row = overlaps.neighbors(f);
-  const auto counts = overlaps.counts(f);
-  index_t container = kInvalidIndex;
-  std::size_t probes = 0;
-  for (std::size_t s = 0; s < row.size(); ++s) {
-    ++probes;
-    const index_t g = row[s];
-    const index_t ov = counts[s];
-    if (!residual.edge_alive(g) || ov == 0) continue;
-    if (ov == size_f) {  // f subset of (or equal to) g
-      container = g;
-      break;
-    }
-  }
-  if (stats != nullptr) stats->containment_probes += probes;
-  return container;
-}
-
 std::vector<index_t> find_non_maximal(const ResidualHypergraph& residual,
                                       std::span<const index_t> candidates,
                                       PeelStats* stats) {

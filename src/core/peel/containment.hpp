@@ -3,35 +3,23 @@
 // The paper's trick (section 3): a hyperedge f is contained in a live
 // hyperedge g exactly when f's current cardinality equals its current
 // overlap with g -- no set comparison needed. This module is the single
-// home for both flavors of that test; reduce, the sequential k-core peel
-// and the bulk-synchronous parallel peel all route through here instead
-// of keeping private copies.
+// home of that test; reduce and the k-core peel both route through here
+// instead of keeping private copies.
 #pragma once
 
 #include <span>
 #include <vector>
 
-#include "core/peel/flat_overlap.hpp"
 #include "core/peel/residual.hpp"
 
 namespace hp::hyper {
 
-/// Incremental flavor (sequential peel): scan f's overlap row for a live
-/// container. Returns a live g with f ⊆ g, f itself when f's residual
-/// set is empty, or kInvalidIndex when f is maximal. For identical
-/// residual sets any of the duplicates may be returned; the peel deletes
-/// the edge it is currently probing, so exactly one representative
-/// survives. O(d2(f)) row entries, counted as containment probes.
-index_t find_container(const ResidualHypergraph& residual,
-                       const FlatOverlapTracker& overlaps, index_t f,
-                       PeelStats* stats);
-
-/// Bulk flavor (parallel peel, whole-hypergraph reduction): decide which
-/// of `candidates` are non-maximal under the current residual sets via
-/// an overlap-counting sweep per candidate with thread-local counters
-/// (parallel over candidates on the shared pool, src/par/). Strict containment always
-/// dooms a candidate; among identical residual sets the lowest id
-/// survives, making the result deterministic under any schedule.
+/// Decide which of `candidates` are non-maximal under the current
+/// residual sets via an overlap-counting sweep per candidate with
+/// thread-local counters (parallel over candidates on the shared pool,
+/// src/par/). Strict containment always dooms a candidate; among
+/// identical residual sets the lowest id survives, making the result
+/// deterministic under any schedule.
 /// Candidates may repeat; the returned doomed list is sorted and unique.
 std::vector<index_t> find_non_maximal(const ResidualHypergraph& residual,
                                       std::span<const index_t> candidates,

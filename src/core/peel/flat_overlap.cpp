@@ -8,8 +8,7 @@ namespace {
 constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
 }  // namespace
 
-FlatOverlapTracker::FlatOverlapTracker(const Hypergraph& h)
-    : in_clique_(h.num_edges(), 0) {
+FlatOverlapTracker::FlatOverlapTracker(const Hypergraph& h) {
   const index_t ne = h.num_edges();
   offsets_.reserve(static_cast<std::size_t>(ne) + 1);
   offsets_.push_back(0);
@@ -58,37 +57,6 @@ index_t FlatOverlapTracker::max_degree2() const {
     best = std::max(best, degree2(f));
   }
   return best;
-}
-
-void FlatOverlapTracker::decrement_clique(std::span<const index_t> clique,
-                                          PeelStats* stats) {
-  if (clique.size() < 2) return;
-  for (index_t f : clique) in_clique_[f] = 1;
-  count_t decrements = 0;
-  for (index_t f : clique) {
-    // One contiguous sweep of row f handles f's side of every pair
-    // (f, g) with g marked; g's sweep handles the mirror entry.
-    const std::size_t begin = offsets_[f];
-    const std::size_t end = offsets_[f + 1];
-    for (std::size_t s = begin; s < end; ++s) {
-      if (in_clique_[neighbors_[s]]) {
-        --counts_[s];
-        ++decrements;
-      }
-    }
-  }
-  for (index_t f : clique) in_clique_[f] = 0;
-  if (stats != nullptr) stats->overlap_decrements += decrements;
-}
-
-void FlatOverlapTracker::decrement(index_t f, index_t g, PeelStats* stats) {
-  const std::size_t sf = slot_of(f, g);
-  const std::size_t sg = slot_of(g, f);
-  HP_REQUIRE(sf != kNoSlot && sg != kNoSlot,
-             "FlatOverlapTracker::decrement: pair never overlapped");
-  --counts_[sf];
-  --counts_[sg];
-  if (stats != nullptr) stats->overlap_decrements += 2;
 }
 
 }  // namespace hp::hyper

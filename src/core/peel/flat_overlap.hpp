@@ -1,31 +1,26 @@
-// Flat sparse pairwise-overlap tracker (CSR-of-rows).
+// Flat sparse pairwise-overlap store (CSR-of-rows).
 //
 // Stores overlap(f, g) = |f ∩ g| for every unordered pair of distinct
-// hyperedges sharing at least one vertex, the quantity the paper's
-// k-core peel maintains instead of comparing vertex sets. Unlike the
-// historical vector-of-unordered_map layout, all rows live in two
-// contiguous arrays (neighbor ids, counts) addressed by per-row offsets:
+// hyperedges sharing at least one vertex in the input hypergraph: the
+// quantity behind the paper's Delta_2,F and d2 statistics. All rows
+// live in two contiguous arrays (neighbor ids, counts) addressed by
+// per-row offsets:
 //
 //   offsets_:   |F|+1 row starts
-//   neighbors_: row f = sorted ids of edges overlapping f   (static)
-//   counts_:    counts_[s] = current overlap with neighbors_[s]
+//   neighbors_: row f = sorted ids of edges overlapping f
+//   counts_:    counts_[s] = |f ∩ neighbors_[s]|
 //
-// The neighbor structure is fixed at construction (peeling only ever
-// *decrements* counts; an entry that reaches zero stays in place), so
-// point lookups are binary searches -- the paper's Delta_V ln Delta_2,F
-// term -- while the hot batch update (all edges sharing a just-deleted
-// vertex lose one unit of pairwise overlap) is a marked sweep over the
-// touched rows: amortized O(1) per row entry, contiguous, allocation
-// free. Row sweeps are bounded by Delta_2,F per touch and every edge is
-// touched once per member deletion, which is exactly the paper's
-// O(|E| Delta_2,F) overlap-maintenance term.
+// The store is read-only after construction; point lookups are binary
+// searches within a row. It is the storage behind OverlapTable
+// (core/overlap.hpp). The k-core peel does not maintain overlaps
+// incrementally: it recounts them for the edges a round shrank
+// (core/peel/containment.hpp).
 #pragma once
 
 #include <span>
 #include <vector>
 
 #include "core/hypergraph.hpp"
-#include "core/peel/peel_stats.hpp"
 
 namespace hp::hyper {
 
@@ -38,24 +33,21 @@ class FlatOverlapTracker {
     return static_cast<index_t>(offsets_.empty() ? 0 : offsets_.size() - 1);
   }
 
-  /// Sorted ids of edges that (initially) overlap f.
+  /// Sorted ids of edges that overlap f.
   std::span<const index_t> neighbors(index_t f) const {
     return {neighbors_.data() + offsets_[f],
             neighbors_.data() + offsets_[f + 1]};
   }
 
-  /// Current counts, parallel to neighbors(f). Entries may be zero once
-  /// peeling has erased every shared vertex of the pair.
+  /// Overlap counts, parallel to neighbors(f); every entry is >= 1.
   std::span<const index_t> counts(index_t f) const {
     return {counts_.data() + offsets_[f], counts_.data() + offsets_[f + 1]};
   }
 
-  /// |f ∩ g| under all decrements so far; 0 when disjoint or f == g.
+  /// |f ∩ g|; 0 when disjoint or f == g.
   index_t overlap(index_t f, index_t g) const;
 
-  /// d2(f): number of hyperedges overlapping f in the *input* hypergraph
-  /// (row width; decrements do not shrink it, matching the paper's
-  /// Delta_2,F which is a static quantity).
+  /// d2(f): number of hyperedges overlapping f (row width).
   index_t degree2(index_t f) const {
     return static_cast<index_t>(offsets_[f + 1] - offsets_[f]);
   }
@@ -63,21 +55,11 @@ class FlatOverlapTracker {
   /// Delta_2,F: max degree2 over all hyperedges (0 if no edges).
   index_t max_degree2() const;
 
-  /// Every pair of distinct edges in `clique` loses one unit of overlap
-  /// (they shared a vertex that was just deleted). `clique` must hold
-  /// distinct edge ids whose pairwise overlaps are all currently >= 1.
-  /// Cost: sum of the touched rows' widths, one contiguous sweep each.
-  void decrement_clique(std::span<const index_t> clique, PeelStats* stats);
-
-  /// Point decrement of the symmetric pair (f, g); O(log d2) each side.
-  void decrement(index_t f, index_t g, PeelStats* stats);
-
   /// Bytes held by the CSR arrays (footprint reporting / benches).
   std::size_t storage_bytes() const {
     return offsets_.size() * sizeof(offsets_[0]) +
            neighbors_.size() * sizeof(neighbors_[0]) +
-           counts_.size() * sizeof(counts_[0]) +
-           in_clique_.size() * sizeof(in_clique_[0]);
+           counts_.size() * sizeof(counts_[0]);
   }
 
  private:
@@ -87,7 +69,6 @@ class FlatOverlapTracker {
   std::vector<std::size_t> offsets_;
   std::vector<index_t> neighbors_;
   std::vector<index_t> counts_;
-  std::vector<char> in_clique_;  // |F| scratch marks for decrement_clique
 };
 
 }  // namespace hp::hyper

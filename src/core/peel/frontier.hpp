@@ -17,7 +17,7 @@
 //     O(drops) total cost instead of O(levels * |V|).
 //
 //   * LaneDropBags -- per-pool-lane bags of degree-drop records for the
-//     bulk-synchronous parallel peel. Lanes append race-free to their
+//     bulk-synchronous k-core peel. Lanes append race-free to their
 //     own bag while edge deletions decrement degrees atomically; the
 //     driver drains all bags between rounds, splitting drops into the
 //     in-level frontier (new degree < k) and FrontierBuckets (future
@@ -51,12 +51,6 @@
 #include "core/peel/residual.hpp"
 
 namespace hp::hyper {
-
-/// Seed-discipline selector for the k-core peelers. kFrontier is the
-/// production engine; kScan is the legacy rescan-every-level loop, kept
-/// as the differential-testing oracle (the two must stay bit-identical;
-/// tests/core/test_frontier_peel.cpp enforces it).
-enum class PeelEngine { kFrontier, kScan };
 
 /// Lazy bucket queue over vertices keyed by residual degree.
 ///

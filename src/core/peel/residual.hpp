@@ -3,16 +3,16 @@
 // A peel works on a shrinking sub-hypergraph of an immutable Hypergraph:
 // alive masks, residual vertex degrees (live incident edges), residual
 // edge sizes (live member vertices), and live counts. Historically each
-// algorithm (sequential/naive/parallel k-core, generalized cores,
+// algorithm (k-core and its naive oracle, generalized cores,
 // reduction, multicover) carried a private copy of this state; this
 // class is the single substrate they now share, leaving each algorithm
 // only its *policy* -- peel order, threshold rule, measure.
 //
 // Deletion primitives are cascade-free by design: erase_vertex reports
-// the live edges it shrank, erase_edge invokes a caller-supplied hook per
-// member vertex whose degree dropped. The caller decides what to enqueue
-// or delete next, so the same substrate serves threshold peels, bulk
-// frontiers, measure-driven heaps and cover demand tracking.
+// the live edges it shrank, erase_edge lowers its live members' degrees.
+// The caller decides what to enqueue or delete next, so the same
+// substrate serves threshold peels, bulk frontiers, measure-driven heaps
+// and cover demand tracking.
 //
 // Core stamping (satellite of the paper's Fig. 4): when core-number
 // arrays are bound, erase_* stamps the removed item with level-1 at the
@@ -65,18 +65,7 @@ class ResidualHypergraph {
   void erase_vertex(index_t v);
 
   /// Delete edge f: mark dead, decrement the degree of every live member
-  /// vertex, invoking on_degree_drop(w, new_degree) for each. Stamps f
-  /// if bound.
-  template <typename F>
-  void erase_edge(index_t f, F&& on_degree_drop) {
-    mark_edge_dead(f);
-    for (index_t w : h_->vertices_of(f)) {
-      if (vertex_alive_[w] == 0) continue;
-      on_degree_drop(w, --vertex_degree_[w]);
-    }
-  }
-
-  /// Same, without a degree-drop hook.
+  /// vertex. Stamps f if bound.
   void erase_edge(index_t f);
 
   // --- Bulk-parallel primitives (frontier engine) -------------------

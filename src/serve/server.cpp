@@ -1,9 +1,12 @@
 #include "serve/server.hpp"
 
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <string_view>
 #include <thread>
 
 #include "obs/metrics.hpp"
@@ -22,6 +25,22 @@ class TimeoutError : public std::runtime_error {
   explicit TimeoutError(const std::string& what)
       : std::runtime_error(what) {}
 };
+
+/// Commands the server answers itself, next to cli::query_commands().
+constexpr std::array<std::string_view, 7> kServerCommands = {
+    "ping", "commands", "cache", "cache_clear", "metrics", "sleep",
+    "shutdown"};
+
+/// Latency histogram for `command`. Only commands the server knows get
+/// their own name; anything a client invents shares one bucket, so
+/// client input cannot grow the metrics registry.
+std::string latency_metric(const std::string& command) {
+  const bool known =
+      cli::is_query_command(command) ||
+      std::find(kServerCommands.begin(), kServerCommands.end(), command) !=
+          kServerCommands.end();
+  return "server.cmd." + (known ? command : std::string{"unknown"}) + "_ns";
+}
 
 std::uint64_t now_ns() {
   return static_cast<std::uint64_t>(
@@ -106,22 +125,29 @@ void Server::accept_main() {
     if (!accepted.valid()) break;  // listener closed by request_stop
     if (stopping()) break;
     std::lock_guard<std::mutex> lock(connections_mutex_);
+    reap_finished_connections();
     connections_.push_back(std::make_unique<Connection>());
     Connection* connection = connections_.back().get();
     connection->socket = std::move(accepted);
+    ++live_connections_;
     obs::gauge("server.connections")
-        .set(static_cast<double>(connections_.size()));
-    const std::size_t slot = connections_.size() - 1;
-    connection->thread = std::thread([this, slot] { connection_main(slot); });
+        .set(static_cast<double>(live_connections_));
+    connection->thread =
+        std::thread([this, connection] { connection_main(connection); });
   }
 }
 
-void Server::connection_main(std::size_t slot) {
-  Socket* socket = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(connections_mutex_);
-    socket = &connections_[slot]->socket;
-  }
+void Server::reap_finished_connections() {
+  std::erase_if(connections_, [](const std::unique_ptr<Connection>& c) {
+    if (!c->finished) return false;
+    // The thread has left connection_main; the join only reclaims it.
+    c->thread.join();
+    return true;
+  });
+}
+
+void Server::connection_main(Connection* connection) {
+  Socket* socket = &connection->socket;
   LineReader reader{socket->fd()};
   std::string frame;
   while (true) {
@@ -159,6 +185,11 @@ void Server::connection_main(std::size_t slot) {
     }
   }
   socket->close();
+  std::lock_guard<std::mutex> lock(connections_mutex_);
+  connection->finished = true;
+  --live_connections_;
+  obs::gauge("server.connections")
+      .set(static_cast<double>(live_connections_));
 }
 
 proto::Response Server::handle(const proto::Request& request) {
@@ -219,8 +250,7 @@ proto::Response Server::handle(const proto::Request& request) {
   const std::uint64_t elapsed_ns = now_ns() - start_ns;
   response.micros = elapsed_ns / 1000u;
   obs::latency("server.request_ns").record_ns(elapsed_ns);
-  obs::latency("server.cmd." + request.command + "_ns")
-      .record_ns(elapsed_ns);
+  obs::latency(latency_metric(request.command)).record_ns(elapsed_ns);
   return response;
 }
 
@@ -256,7 +286,7 @@ proto::Response Server::dispatch(const proto::Request& request,
   if (command == "commands") {
     std::ostringstream out;
     for (const std::string& name : cli::query_commands()) out << name << '\n';
-    out << "ping\ncommands\ncache\ncache_clear\nmetrics\nsleep\nshutdown\n";
+    for (std::string_view name : kServerCommands) out << name << '\n';
     response.output = out.str();
     return response;
   }

@@ -19,7 +19,12 @@
 // (command-specific child spans come from the query layer), and the
 // server.* metrics family tracks requests, errors, timeouts, cache
 // hits/misses/evictions, open connections, queue depth and per-command
-// latency histograms.
+// latency histograms. Metric names come from a fixed set: a command
+// name a client invents is recorded under `server.cmd.unknown_ns`.
+//
+// Resources: a connection whose client hung up is joined and dropped
+// the next time the accept thread wakes, so threads, stacks and the
+// `server.connections` gauge track live connections only.
 #pragma once
 
 #include <atomic>
@@ -86,10 +91,14 @@ class Server {
   struct Connection {
     Socket socket;
     std::thread thread;
+    bool finished = false;  ///< guarded by connections_mutex_
   };
 
   void accept_main();
-  void connection_main(std::size_t slot);
+  void connection_main(Connection* connection);
+  /// Join and drop every finished connection. Caller holds
+  /// connections_mutex_.
+  void reap_finished_connections();
   proto::Response dispatch(const proto::Request& request,
                            std::uint64_t deadline_ns);
   void record_frame(const std::string& frame);
@@ -102,6 +111,7 @@ class Server {
 
   std::mutex connections_mutex_;
   std::vector<std::unique_ptr<Connection>> connections_;
+  std::size_t live_connections_ = 0;  ///< guarded by connections_mutex_
 
   std::mutex record_mutex_;
 

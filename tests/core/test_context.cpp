@@ -178,8 +178,8 @@ TEST(ContextTest, PeelStatsComeFromTheCachedDecomposition) {
   const AnalysisContext ctx{h};
   PeelStats direct;
   core_decomposition(h, &direct);
-  EXPECT_EQ(ctx.core_peel_stats().overlap_decrements,
-            direct.overlap_decrements);
+  EXPECT_EQ(ctx.core_peel_stats().containment_probes,
+            direct.containment_probes);
   EXPECT_EQ(ctx.core_peel_stats().peel_rounds, direct.peel_rounds);
   // Asking for the stats must not rebuild the decomposition.
   for (const ArtifactStats& a : ctx.stats().artifacts) {

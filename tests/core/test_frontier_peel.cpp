@@ -1,15 +1,12 @@
 // Differential battery for the frontier peeling engine
 // (core/peel/frontier.hpp).
 //
-// Contract under test: the frontier engines (lazy degree-bucket seeding
-// sequentially, per-lane drop bags + atomic decrements in the bulk
-// parallel peel) are drop-in replacements for the legacy
-// scan-and-stamp loops. Same-discipline pairs -- frontier vs scan,
-// sequential and parallel separately -- must be FULLY bit-identical
-// (vertex_core, edge_core, in_reduced, levels, max_core); across
-// disciplines the usual agreement contract applies (edge representative
-// choice among identical residual sets may differ), checked against
-// the naive set-comparison oracle as well.
+// Contract under test: the frontier plumbing (lazy degree-bucket level
+// seeds, per-lane drop bags and atomic decrements within a level) is a
+// drop-in replacement for rescanning |V| every round.
+// core_decomposition and its scan twin core_decomposition_scan must be
+// FULLY bit-identical (vertex_core, edge_core, in_reduced, levels,
+// max_core), and both must equal the naive set-comparison oracle.
 //
 // The 50-seed sweep runs the adversarial fuzz generator so every
 // structural regime (nested chains, duplicate chains, near-cliques,
@@ -23,57 +20,26 @@
 #include "check/generator.hpp"
 #include "core/kcore.hpp"
 #include "core/kcore_naive.hpp"
-#include "core/kcore_parallel.hpp"
 #include "test_helpers.hpp"
 
 namespace hp::hyper {
 namespace {
 
-void expect_bit_identical(const HyperCoreResult& a, const HyperCoreResult& b,
-                          const std::string& label) {
-  EXPECT_EQ(a.max_core, b.max_core) << label;
-  EXPECT_EQ(a.vertex_core, b.vertex_core) << label;
-  EXPECT_EQ(a.edge_core, b.edge_core) << label;
-  EXPECT_EQ(a.in_reduced, b.in_reduced) << label;
-  EXPECT_EQ(a.level_vertices, b.level_vertices) << label;
-  EXPECT_EQ(a.level_edges, b.level_edges) << label;
-}
-
-void expect_equivalent(const HyperCoreResult& a, const HyperCoreResult& b,
-                       const std::string& label) {
-  EXPECT_EQ(a.max_core, b.max_core) << label;
-  EXPECT_EQ(a.vertex_core, b.vertex_core) << label;
-  EXPECT_EQ(a.level_vertices, b.level_vertices) << label;
-  EXPECT_EQ(a.level_edges, b.level_edges) << label;
-}
-
-/// The full cross-engine battery for one input.
+/// The engine-vs-scan battery for one input.
 void check_engines(const Hypergraph& h, const std::string& label) {
   PeelStats frontier_stats;
   const HyperCoreResult frontier = core_decomposition(h, &frontier_stats);
-  const HyperCoreResult scan = core_decomposition_scan(h);
-  expect_bit_identical(frontier, scan, label + ": frontier vs scan");
+  testing::expect_same_cores(frontier, core_decomposition_scan(h),
+                             label + ": frontier vs scan");
+  testing::expect_same_cores(frontier, core_decomposition_naive(h),
+                             label + ": frontier vs naive");
 
-  PeelStats par_stats;
-  const HyperCoreResult par_frontier =
-      core_decomposition_parallel(h, 0, &par_stats);
-  const HyperCoreResult par_scan = core_decomposition_parallel_scan(h);
-  expect_bit_identical(par_frontier, par_scan,
-                       label + ": par frontier vs par scan");
-
-  expect_equivalent(frontier, par_frontier, label + ": seq vs par");
-  expect_equivalent(frontier, core_decomposition_naive(h),
-                    label + ": frontier vs naive");
-
-  // The lazy engines' accounting invariant: every wasted entry was
-  // pushed first.
+  // The lazy engine's accounting invariant: every wasted entry was
+  // pushed first, and the buckets are filled once per vertex at least.
   EXPECT_LE(frontier_stats.frontier_wasted, frontier_stats.frontier_pushes)
       << label;
-  EXPECT_LE(par_stats.frontier_wasted, par_stats.frontier_pushes) << label;
-  // Both engines fill the buckets once per vertex at minimum.
   if (h.num_vertices() > 0) {
     EXPECT_GE(frontier_stats.frontier_pushes, h.num_vertices()) << label;
-    EXPECT_GE(par_stats.frontier_pushes, h.num_vertices()) << label;
   }
 }
 

@@ -1,9 +1,13 @@
 // Shared helpers for the hypergraph test suites.
 #pragma once
 
+#include <gtest/gtest.h>
+
+#include <string>
 #include <vector>
 
 #include "core/hypergraph.hpp"
+#include "core/kcore.hpp"
 #include "util/rng.hpp"
 
 namespace hp::hyper::testing {
@@ -37,6 +41,20 @@ inline Hypergraph toy_hypergraph() {
   b.add_edge({5});
   b.add_edge({0, 1, 2, 3, 6});
   return b.build();
+}
+
+/// Two core decompositions must match in every field: the k-core engine,
+/// its scan twin and the naive reference agree byte for byte (among
+/// identical residual edges the lowest id survives), at any lane count.
+inline void expect_same_cores(const HyperCoreResult& a,
+                              const HyperCoreResult& b,
+                              const std::string& label) {
+  EXPECT_EQ(a.max_core, b.max_core) << label;
+  EXPECT_EQ(a.vertex_core, b.vertex_core) << label;
+  EXPECT_EQ(a.edge_core, b.edge_core) << label;
+  EXPECT_EQ(a.in_reduced, b.in_reduced) << label;
+  EXPECT_EQ(a.level_vertices, b.level_vertices) << label;
+  EXPECT_EQ(a.level_edges, b.level_edges) << label;
 }
 
 }  // namespace hp::hyper::testing

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/reduce.hpp"
+#include "par/thread_pool.hpp"
 #include "test_helpers.hpp"
 
 namespace hp::hyper {
@@ -153,6 +154,33 @@ TEST(HyperKCore, DuplicateInputEdgesKeepOneRepresentative) {
   EXPECT_EQ(r.level_edges[0], 2u);
 }
 
+TEST(HyperKCore, IdenticalInputEdgesKeepLowestId) {
+  // Regression: the retired sequential engine kept e1 here, while the
+  // naive reference keeps e0. The contract is lowest id survives.
+  HypergraphBuilder b{2};
+  b.add_edge({0, 1});
+  b.add_edge({0, 1});
+  const HyperCoreResult r = core_decomposition(b.build());
+  EXPECT_EQ(r.in_reduced, (std::vector<char>{1, 0}));
+  EXPECT_EQ(r.edge_core, (std::vector<index_t>{1, 0}));
+}
+
+TEST(HyperKCore, EdgesIdenticalMidPeelKeepLowestId) {
+  // e0 = {0,1,3} and e1 = {0,1,2} are incomparable until the k = 2 peel
+  // removes vertices 2 and 3; both shrink to {0,1} in the same round.
+  // The lower id survives into the 2-core {0,1,5} (a triangle with e2,
+  // e3), so it keeps the higher edge core.
+  HypergraphBuilder b{6};
+  b.add_edge({0, 1, 3});  // e0
+  b.add_edge({0, 1, 2});  // e1
+  b.add_edge({0, 5});     // e2
+  b.add_edge({1, 5});     // e3
+  const HyperCoreResult r = core_decomposition(b.build());
+  EXPECT_EQ(r.max_core, 2u);
+  EXPECT_EQ(r.core_vertices(2), (std::vector<index_t>{0, 1, 5}));
+  EXPECT_EQ(r.edge_core, (std::vector<index_t>{2, 1, 2, 2}));
+}
+
 TEST(SatisfiesCoreConditions, RejectsViolations) {
   // Degree violation.
   HypergraphBuilder a{3};
@@ -165,6 +193,60 @@ TEST(SatisfiesCoreConditions, RejectsViolations) {
   c.add_edge({0, 1});
   c.add_edge({0, 1, 2});
   EXPECT_FALSE(satisfies_core_conditions(c.build(), 1));
+}
+
+// The peel runs on the shared pool; one lane is the serial path and
+// every lane cap must give the same bytes.
+
+HyperCoreResult with_lanes(const Hypergraph& h, int lanes) {
+  par::LaneLimit limit{lanes};
+  return core_decomposition(h);
+}
+
+TEST(ParallelKCore, EmptyAndTrivial) {
+  HypergraphBuilder b{2};
+  b.add_edge({0, 1});
+  const Hypergraph one_edge = b.build();
+  for (int lanes : {1, 4}) {
+    EXPECT_EQ(with_lanes(HypergraphBuilder{0}.build(), lanes).max_core, 0u);
+    EXPECT_EQ(with_lanes(one_edge, lanes).max_core, 1u);
+  }
+}
+
+TEST(ParallelKCore, ThreadCountDoesNotChangeResult) {
+  Rng rng{31337};
+  for (int trial = 0; trial < 4; ++trial) {
+    const Hypergraph h = testing::random_hypergraph(rng, 60, 80, 6);
+    const HyperCoreResult serial = with_lanes(h, 1);
+    testing::expect_same_cores(serial, with_lanes(h, 2), "2 lanes");
+    testing::expect_same_cores(serial, with_lanes(h, 4), "4 lanes");
+  }
+}
+
+TEST(ParallelKCore, EdgeRepresentativeIsLowestId) {
+  // Two edges shrink to the same residual set in the same round; the
+  // lower id survives at every lane count.
+  HypergraphBuilder b{4};
+  b.add_edge({0, 1, 2});  // e0
+  b.add_edge({0, 1, 3});  // e1
+  const Hypergraph h = b.build();
+  for (int lanes : {1, 4}) {
+    const HyperCoreResult r = with_lanes(h, lanes);
+    // At k = 2: vertices 2 and 3 peel, e0 and e1 both become {0,1};
+    // e1 (higher id) is deleted at level 2 (edge_core 1), e0 peels later.
+    EXPECT_EQ(r.max_core, 1u);
+    EXPECT_EQ(r.edge_core[1], 1u);
+  }
+}
+
+TEST(ParallelKCore, ExtractedCoreIsValid) {
+  Rng rng{71};
+  const Hypergraph h = testing::random_hypergraph(rng, 40, 60, 5);
+  const HyperCoreResult r = with_lanes(h, 4);
+  for (index_t k = 1; k <= r.max_core; ++k) {
+    const SubHypergraph core = extract_core(h, r, k);
+    EXPECT_TRUE(satisfies_core_conditions(core.hypergraph, k)) << k;
+  }
 }
 
 }  // namespace

@@ -5,9 +5,9 @@
 
 #include "bio/cellzome_synth.hpp"
 #include "core/kcore.hpp"
-#include "core/kcore_parallel.hpp"
 #include "mm/mm_synth.hpp"
 #include "mm/mm_to_hypergraph.hpp"
+#include "par/thread_pool.hpp"
 #include "test_helpers.hpp"
 
 namespace hp::hyper {
@@ -41,10 +41,9 @@ void check_core_invariants(const Hypergraph& h) {
               max_core.hypergraph.num_vertices());
   }
 
-  // Parallel implementation agrees.
-  const HyperCoreResult par = core_decomposition_parallel(h);
-  EXPECT_EQ(par.vertex_core, r.vertex_core);
-  EXPECT_EQ(par.max_core, r.max_core);
+  // The serial path (one lane) gives the same bytes as the pool.
+  par::LaneLimit one{1};
+  testing::expect_same_cores(core_decomposition(h), r, "one lane");
 }
 
 TEST(KCoreProperties, BandedMatrixHypergraph) {

@@ -1,14 +1,12 @@
 // Property tests for the unified peeling substrate: on ~50 synthetic
-// Cellzome-style instances, the sequential overlap peel, the naive
-// set-comparison oracle, the bulk-synchronous parallel peel and the
-// standalone reduction must agree, and the PeelStats invariants
-// documented in peel_stats.hpp must hold.
+// Cellzome-style instances, the k-core peel, the naive set-comparison
+// oracle and the standalone reduction must agree, and the PeelStats
+// invariants documented in peel_stats.hpp must hold.
 #include <gtest/gtest.h>
 
 #include "bio/cellzome_synth.hpp"
 #include "core/kcore.hpp"
 #include "core/kcore_naive.hpp"
-#include "core/kcore_parallel.hpp"
 #include "core/peel/peel.hpp"
 #include "core/reduce.hpp"
 #include "test_helpers.hpp"
@@ -58,18 +56,10 @@ Hypergraph cellzome_style_instance(std::uint64_t seed) {
   return builder.build();
 }
 
-void expect_equivalent(const HyperCoreResult& a, const HyperCoreResult& b,
-                       const char* label, std::uint64_t seed) {
-  EXPECT_EQ(a.max_core, b.max_core) << label << " seed " << seed;
-  EXPECT_EQ(a.vertex_core, b.vertex_core) << label << " seed " << seed;
-  EXPECT_EQ(a.level_vertices, b.level_vertices) << label << " seed " << seed;
-  EXPECT_EQ(a.level_edges, b.level_edges) << label << " seed " << seed;
-}
-
 void expect_stats_invariants(const PeelStats& stats, const Hypergraph& h,
                              const char* label, std::uint64_t seed) {
-  // Overlaps are symmetric: decrements come in (f,g)/(g,f) pairs.
-  EXPECT_EQ(stats.overlap_decrements % 2, 0u) << label << " seed " << seed;
+  // The bulk peel recounts overlaps; it never decrements a table.
+  EXPECT_EQ(stats.overlap_decrements, 0u) << label << " seed " << seed;
   // A mid-peel edge deletion is always preceded by a containment probe.
   EXPECT_GE(stats.containment_probes, stats.cascaded_edge_deletions)
       << label << " seed " << seed;
@@ -92,17 +82,11 @@ TEST_P(PeelSubstrateSweep, ImplementationsAgreeAndStatsHold) {
   const std::uint64_t seed = GetParam();
   const Hypergraph h = cellzome_style_instance(seed);
 
-  PeelStats seq_stats;
-  const HyperCoreResult fast = core_decomposition(h, &seq_stats);
-  expect_equivalent(fast, core_decomposition_naive(h), "naive", seed);
-  PeelStats par_stats;
-  expect_equivalent(fast, core_decomposition_parallel(h, 0, &par_stats),
-                    "parallel", seed);
-
-  expect_stats_invariants(seq_stats, h, "sequential", seed);
-  expect_stats_invariants(par_stats, h, "parallel", seed);
-  // The bulk peel does no pairwise decrements at all (it recounts).
-  EXPECT_EQ(par_stats.overlap_decrements, 0u);
+  PeelStats stats;
+  const HyperCoreResult fast = core_decomposition(h, &stats);
+  testing::expect_same_cores(fast, core_decomposition_naive(h),
+                             "naive seed " + std::to_string(seed));
+  expect_stats_invariants(stats, h, "peel", seed);
 
   // reduce() must agree with the decomposition's level-0 residual: same
   // surviving-edge count, and its output is actually reduced.
@@ -114,29 +98,6 @@ TEST_P(PeelSubstrateSweep, ImplementationsAgreeAndStatsHold) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PeelSubstrateSweep,
                          ::testing::Range<std::uint64_t>(1, 51));
-
-TEST(PeelSubstrate, FlatTrackerMatchesCliqueDecrements) {
-  // e0={0,1,2}, e1={0,1,3}, e2={1,2,3}: deleting vertex 1 (member of all
-  // three) must drop every pairwise overlap by exactly one.
-  HypergraphBuilder b{4};
-  b.add_edge({0, 1, 2});
-  b.add_edge({0, 1, 3});
-  b.add_edge({1, 2, 3});
-  const Hypergraph h = b.build();
-  FlatOverlapTracker tracker{h};
-  EXPECT_EQ(tracker.overlap(0, 1), 2u);
-  EXPECT_EQ(tracker.overlap(0, 2), 2u);
-  EXPECT_EQ(tracker.overlap(1, 2), 2u);
-
-  PeelStats stats;
-  const std::vector<index_t> touched{0, 1, 2};
-  tracker.decrement_clique(touched, &stats);
-  EXPECT_EQ(tracker.overlap(0, 1), 1u);
-  EXPECT_EQ(tracker.overlap(1, 0), 1u);
-  EXPECT_EQ(tracker.overlap(0, 2), 1u);
-  EXPECT_EQ(tracker.overlap(1, 2), 1u);
-  EXPECT_EQ(stats.overlap_decrements, 6u);  // 3 pairs, both directions
-}
 
 TEST(PeelSubstrate, ResidualErasePrimitives) {
   const Hypergraph h = testing::toy_hypergraph();
@@ -153,12 +114,9 @@ TEST(PeelSubstrate, ResidualErasePrimitives) {
   EXPECT_EQ(residual.edge_size(2), 1u);
 
   // Erase edge e2 {4,5}: only live member 5 loses a degree.
-  index_t dropped = kInvalidIndex;
-  residual.erase_edge(2, [&](index_t w, index_t degree) {
-    dropped = w;
-    EXPECT_EQ(degree, residual.vertex_degree(w));
-  });
-  EXPECT_EQ(dropped, 5u);
+  const index_t degree_5 = residual.vertex_degree(5);
+  residual.erase_edge(2);
+  EXPECT_EQ(residual.vertex_degree(5), degree_5 - 1);
   EXPECT_FALSE(residual.edge_alive(2));
   EXPECT_EQ(residual.live_edges(), h.num_edges() - 1);
 }

@@ -21,7 +21,7 @@
 
 #include "check/generator.hpp"
 #include "core/kcore.hpp"
-#include "core/kcore_parallel.hpp"
+#include "core/kcore.hpp"
 #include "core/traversal.hpp"
 
 namespace hp::par {
@@ -239,8 +239,8 @@ int process_thread_count() {
 }
 
 TEST(Oversubscription, NestedParallelStormSpawnsNoExtraThreads) {
-  // Regression for the bug this runtime replaced: each
-  // core_decomposition_parallel call configured its own thread team, so
+  // Regression for the bug this runtime replaced: each parallel
+  // core decomposition call configured its own thread team, so
   // fuzz-smoke-style nesting (parallel sweep -> parallel kcore ->
   // parallel containment scan) multiplied the process thread count.
   // With the shared pool, the storm below must finish with exactly the
@@ -255,8 +255,14 @@ TEST(Oversubscription, NestedParallelStormSpawnsNoExtraThreads) {
     group.run([seed] {
       const hyper::Hypergraph h = check::generate(seed);
       // Nested parallel regions inside an already-parallel task.
-      const auto parallel = hyper::core_decomposition_parallel(h, 8);
-      const auto serial = hyper::core_decomposition(h);
+      const auto parallel = [&] {
+        LaneLimit eight{8};
+        return hyper::core_decomposition(h);
+      }();
+      const auto serial = [&] {
+        LaneLimit one{1};
+        return hyper::core_decomposition(h);
+      }();
       EXPECT_EQ(parallel.vertex_core, serial.vertex_core)
           << "seed " << seed;
       (void)hyper::path_summary(h);
@@ -274,16 +280,19 @@ TEST(Determinism, KcoreAndPathsIdenticalAcrossLaneCaps) {
   // LaneLimit: every cap must produce bit-identical results.
   for (std::uint64_t seed = 0; seed < 6; ++seed) {
     const hyper::Hypergraph h = check::generate(seed);
-    const auto serial_cores = hyper::core_decomposition(h);
+    hyper::HyperCoreResult serial_cores;
     hyper::HyperPathSummary serial_paths;
     {
       LaneLimit one{1};
+      serial_cores = hyper::core_decomposition(h);
       serial_paths = hyper::path_summary(h);
     }
     for (int cap : {1, 2, 16}) {
       LaneLimit limit{cap};
-      const auto cores = hyper::core_decomposition_parallel(h);
+      const auto cores = hyper::core_decomposition(h);
       EXPECT_EQ(cores.vertex_core, serial_cores.vertex_core)
+          << "seed " << seed << " cap " << cap;
+      EXPECT_EQ(cores.edge_core, serial_cores.edge_core)
           << "seed " << seed << " cap " << cap;
       EXPECT_EQ(cores.max_core, serial_cores.max_core)
           << "seed " << seed << " cap " << cap;

@@ -1,8 +1,9 @@
 // End-to-end tests of the analysis server over real Unix-domain
 // sockets: query dispatch, context-cache hits, eviction, per-request
 // timeouts, graceful shutdown draining in-flight work, protocol-error
-// handling on a live connection, a multi-client concurrency storm, and
-// the per-request trace tree.
+// handling on a live connection, a multi-client concurrency storm, the
+// per-request trace tree, and the bounds on what clients can grow
+// (connection threads, the connections gauge, metric names).
 //
 // The storm and dispatch suites run three times in CI: plain, under
 // HP_THREADS=1 (every request executes inline), and HP_THREADS=16
@@ -11,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <sstream>
@@ -24,9 +26,44 @@
 #include "serve/client.hpp"
 #include "serve/serve_commands.hpp"
 #include "serve/server.hpp"
+#include "util/rng.hpp"
 
 namespace hp::serve {
 namespace {
+
+/// One numeric field of /proc/self/status (e.g. "Threads"), or -1 where
+/// the file does not exist.
+long proc_status_field(const std::string& field) {
+  std::ifstream status{"/proc/self/status"};
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind(field + ":", 0) == 0) {
+      std::istringstream fields{line.substr(field.size() + 1)};
+      long value = -1;
+      fields >> value;
+      return value;
+    }
+  }
+  return -1;
+}
+
+double connections_gauge() {
+  return obs::gauge("server.connections").value();
+}
+
+/// Registry entries in the server's namespace. Other families (the
+/// pool's par.* counters) appear lazily on their own schedule.
+std::size_t server_metric_count() {
+  const obs::MetricsSnapshot snap = obs::Registry::global().snapshot();
+  std::size_t count = 0;
+  const auto tally = [&](const std::string& name) {
+    if (name.rfind("server.", 0) == 0) ++count;
+  };
+  for (const obs::CounterSample& c : snap.counters) tally(c.name);
+  for (const obs::GaugeSample& g : snap.gauges) tally(g.name);
+  for (const obs::HistogramSample& h : snap.histograms) tally(h.name);
+  return count;
+}
 
 class ServeTest : public ::testing::Test {
  protected:
@@ -324,6 +361,67 @@ TEST_F(ServeTest, RequestTraceTreeIsSingleRooted) {
   }
   EXPECT_EQ(request_spans, 3u);
   EXPECT_GE(summary.trees.size(), 3u);
+}
+
+TEST_F(ServeTest, ClosedConnectionsReleaseTheirThreads) {
+  Server server{options("reap")};
+  server.start();
+  // Warm up: the first request builds the shared pool's lanes.
+  {
+    Client client{server.endpoint()};
+    ASSERT_TRUE(client.query("ping", "").ok);
+  }
+  // Connection threads exit asynchronously after the client hangs up;
+  // wait (bounded) until the gauge and the thread count come back.
+  const auto settle = [&](long threads) {
+    for (int i = 0; i < 500; ++i) {
+      if (proc_status_field("Threads") <= threads &&
+          connections_gauge() == 0.0) {
+        return;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  };
+  settle(proc_status_field("Threads"));
+  const long threads = proc_status_field("Threads");
+  if (threads < 0) GTEST_SKIP() << "no /proc/self/status";
+  EXPECT_EQ(connections_gauge(), 0.0);
+
+  for (int cycle = 0; cycle < 500; ++cycle) {
+    Client client{server.endpoint()};
+    ASSERT_TRUE(client.query("ping", "").ok) << "cycle " << cycle;
+  }
+  settle(threads);
+  EXPECT_LE(proc_status_field("Threads"), threads);
+  EXPECT_EQ(connections_gauge(), 0.0);
+}
+
+TEST_F(ServeTest, BogusCommandsDoNotGrowTheMetricsRegistry) {
+  Server server{options("bogus")};
+  server.start();
+  Client client{server.endpoint()};
+  // Warm up every metric a failing request touches.
+  ASSERT_TRUE(client.query("ping", "").ok);
+  ASSERT_FALSE(client.query("stats", "").ok);
+  const std::size_t before = server_metric_count();
+
+  Rng rng{20040426};
+  for (int i = 0; i < 1000; ++i) {
+    std::string name = "bogus_" + std::to_string(i) + "_";
+    for (int c = 0; c < 8; ++c) {
+      name += static_cast<char>('a' + rng.uniform(26));
+    }
+    const proto::Response response = client.query(name, "");
+    ASSERT_FALSE(response.ok);
+    EXPECT_NE(response.error.find("unknown command"), std::string::npos);
+  }
+  EXPECT_LE(server_metric_count(), before + 1);
+  const obs::MetricsSnapshot snap = obs::Registry::global().snapshot();
+  bool unknown_bucket = false;
+  for (const obs::HistogramSample& h : snap.histograms) {
+    if (h.name == "server.cmd.unknown_ns") unknown_bucket = h.count >= 1000;
+  }
+  EXPECT_TRUE(unknown_bucket);
 }
 
 TEST_F(ServeTest, UsageListsRegisteredServeCommands) {
