@@ -43,11 +43,11 @@ struct NamedHypergraph {
 
 void add_row(hp::Table& table, const NamedHypergraph& item,
              hp::hyper::PeelStats* stats) {
-  // One artifact cache per row: the overlap table behind Delta_2,F is
-  // built once here instead of once per consumer.
+  // One artifact cache per row; Delta_2,F comes from the count-only
+  // pass, so no row builds the overlap table.
   const hp::hyper::AnalysisContext ctx{item.hypergraph};
   const hp::hyper::Hypergraph& h = ctx.hypergraph();
-  const hp::index_t delta2 = ctx.overlaps().max_degree2();
+  const hp::index_t delta2 = hp::hyper::max_edge_degree2(h);
 
   hp::Timer timer;
   const hp::hyper::HyperCoreResult& cores = ctx.cores();

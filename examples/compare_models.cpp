@@ -5,6 +5,7 @@
 //
 //   $ ./compare_models [--file complexes.tsv] [--seed N]
 #include <cstdio>
+#include <vector>
 
 #include "bio/cellzome_synth.hpp"
 #include "bio/complex_io.hpp"
@@ -67,13 +68,16 @@ int main(int argc, char** argv) {
               gcores.max_core, gcores.max_core_vertices().size());
 
   // The s-overlap ladder: what the plain intersection graph cannot see.
-  const hp::index_t s_max = hp::hyper::max_meaningful_s(h);
+  const std::vector<hp::hyper::SOverlapRow> census =
+      hp::hyper::s_overlap_census(hp::hyper::OverlapTable{h});
   std::puts("\n[s-overlap ladder] (complex pairs sharing >= s proteins)");
-  for (hp::index_t s = 1; s <= s_max && s <= 6; ++s) {
-    std::printf("  s = %u: %llu pairs\n", s,
-                static_cast<unsigned long long>(
-                    hp::hyper::s_intersection_graph(h, s).num_edges()));
+  for (const hp::hyper::SOverlapRow& row : census) {
+    if (row.s > 6) {
+      std::printf("  ... up to s = %zu\n", census.size());
+      break;
+    }
+    std::printf("  s = %u: %llu pairs\n", row.s,
+                static_cast<unsigned long long>(row.edges));
   }
-  if (s_max > 6) std::printf("  ... up to s = %u\n", s_max);
   return 0;
 }

@@ -97,16 +97,22 @@ mkdir -p "${snap_dir}"
 "${prefix}/src/cli/hyperproteome" snapshot verify "${snap_dir}/surrogate.hps"
 "${prefix}/src/cli/hyperproteome" snapshot verify \
   "${snap_dir}/surrogate_varint.hps"
-# Analysis over the mmap'd snapshot must print exactly what the text
-# path prints (the zero-copy storage is an implementation detail).
-"${prefix}/src/cli/hyperproteome" stats "${snap_dir}/surrogate.hyper" \
-  > "${snap_dir}/stats_text.txt"
-"${prefix}/src/cli/hyperproteome" stats "${snap_dir}/surrogate.hps" \
-  > "${snap_dir}/stats_snap.txt"
-"${prefix}/src/cli/hyperproteome" stats "${snap_dir}/surrogate_varint.hps" \
-  > "${snap_dir}/stats_varint.txt"
-diff "${snap_dir}/stats_text.txt" "${snap_dir}/stats_snap.txt"
-diff "${snap_dir}/stats_text.txt" "${snap_dir}/stats_varint.txt"
+"${prefix}/src/cli/hyperproteome" convert "${snap_dir}/surrogate.hyper" \
+  "${snap_dir}/surrogate.tsv"
+# Analysis over the mmap'd snapshot and over the named complex table
+# must print exactly what the .hyper path prints (storage and naming
+# are implementation details).
+for cmd in stats soverlap; do
+  for input in surrogate.hyper surrogate.tsv surrogate.hps \
+      surrogate_varint.hps; do
+    "${prefix}/src/cli/hyperproteome" "${cmd}" "${snap_dir}/${input}" \
+      > "${snap_dir}/${cmd}_${input}.txt"
+  done
+  for input in surrogate.tsv surrogate.hps surrogate_varint.hps; do
+    diff "${snap_dir}/${cmd}_surrogate.hyper.txt" \
+      "${snap_dir}/${cmd}_${input}.txt"
+  done
+done
 # Byte-flip corruption of snapshots is oracle-checked inside hp_fuzz
 # (check_mutated_loads), which the sanitizer stage below re-runs.
 "${prefix}/bench/bench_micro_snapshot" --quick \

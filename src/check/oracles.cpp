@@ -19,6 +19,7 @@
 #include "core/projection.hpp"
 #include "core/reduce.hpp"
 #include "core/snapshot/snapshot.hpp"
+#include "core/soverlap.hpp"
 #include "core/stats.hpp"
 #include "core/traversal.hpp"
 #include "check/generator.hpp"
@@ -276,6 +277,40 @@ void check_projections(const Hypergraph& h,
   }
 }
 
+/// The one-sweep s-overlap census equals the per-s definitions, and the
+/// count-only Delta_2,F equals the overlap table's widest row.
+void check_soverlap(const Hypergraph& h, std::vector<CheckFailure>& failures) {
+  const hyper::OverlapTable table{h};
+  const index_t counted = hyper::max_edge_degree2(h);
+  if (counted != table.max_degree2()) {
+    fail(failures, "degree2",
+         "max_edge_degree2 " + std::to_string(counted) +
+             " != overlap-table max_degree2 " +
+             std::to_string(table.max_degree2()));
+  }
+  const std::vector<hyper::SOverlapRow> census =
+      hyper::s_overlap_census(table);
+  const index_t s_max = hyper::max_meaningful_s(table);
+  if (census.size() != s_max) {
+    fail(failures, "soverlap",
+         "census has " + std::to_string(census.size()) +
+             " rows, max meaningful s is " + std::to_string(s_max));
+    return;
+  }
+  for (index_t s = 1; s <= s_max; ++s) {
+    const hyper::SOverlapRow& row = census[s - 1];
+    const hyper::SComponents comp = hyper::s_components(table, s);
+    if (row.s != s || row.components != comp.count ||
+        row.largest != comp.sizes[comp.largest()] ||
+        row.edges != hyper::s_intersection_graph(table, s).num_edges()) {
+      fail(failures, "soverlap",
+           "census row s=" + std::to_string(s) +
+               " disagrees with s_components/s_intersection_graph");
+      return;
+    }
+  }
+}
+
 void check_components_and_paths(const Hypergraph& h, bool with_paths,
                                 std::vector<CheckFailure>& failures) {
   const hyper::HyperComponents comps = hyper::connected_components(h);
@@ -364,13 +399,15 @@ void check_context(const Hypergraph& h, std::vector<CheckFailure>& failures) {
   const hyper::HyperCoreResult cold = hyper::core_decomposition(h);
   diff_cores_exact(context.cores(), cold, "context-vs-cold", failures);
 
+  // Delta_2,F is checked against the overlap table, not against
+  // summarize(h), which runs the same count-only pass as the context.
   const hyper::HypergraphSummary cached = context.summary();
   const hyper::HypergraphSummary cold_summary = hyper::summarize(h);
   if (cached.num_vertices != cold_summary.num_vertices ||
       cached.num_edges != cold_summary.num_edges ||
       cached.num_pins != cold_summary.num_pins ||
       cached.num_components != cold_summary.num_components ||
-      cached.max_degree2 != cold_summary.max_degree2 ||
+      cached.max_degree2 != hyper::OverlapTable{h}.max_degree2() ||
       cached.degree_one_vertices != cold_summary.degree_one_vertices ||
       cached.isolated_vertices != cold_summary.isolated_vertices) {
     fail(failures, "context", "cached summary != cold summarize()");
@@ -542,6 +579,7 @@ std::vector<CheckFailure> run_all_oracles(const Hypergraph& h,
   check_reduce(h, failures);
   check_dual(h, failures);
   check_projections(h, failures);
+  check_soverlap(h, failures);
   check_components_and_paths(
       h, options.with_paths && h.num_pins() <= options.max_pins_for_paths,
       failures);

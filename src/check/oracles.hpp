@@ -18,6 +18,9 @@
 //     removed (duality is an involution up to degree-0 vertices).
 //   * projections     -- clique/star/bipartite/intersection expansions
 //     are mutually consistent and consistent with the overlap table.
+//   * soverlap/degree2 -- the one-sweep s-overlap census equals the
+//     per-s s_components/s_intersection_graph answers; the count-only
+//     Delta_2,F equals the overlap table's widest row.
 //   * components/paths -- component labels respect incidence; the exact
 //     path summary matches a per-source BFS recomputation.
 //   * covers          -- the greedy multicover output is feasible.

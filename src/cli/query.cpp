@@ -144,16 +144,13 @@ int query_match(QuerySession& session, const Args& args, std::ostream& out) {
 int query_soverlap(QuerySession& session, const Args& args,
                    std::ostream& out) {
   const hyper::AnalysisContext& ctx = session.context;
-  const hyper::OverlapTable& table = ctx.overlaps();
-  const index_t s_max = hyper::max_meaningful_s(table);
-  out << "max meaningful s: " << s_max
+  const std::vector<hyper::SOverlapRow> census =
+      hyper::s_overlap_census(ctx.overlaps());
+  out << "max meaningful s: " << census.size()
       << "\n s  components  largest  edges\n";
-  for (index_t s = 1; s <= s_max; ++s) {
-    const hyper::SComponents comp = hyper::s_components(table, s);
-    index_t largest = 0;
-    if (comp.count > 0) largest = comp.sizes[comp.largest()];
-    out << ' ' << s << "  " << comp.count << "  " << largest << "  "
-        << hyper::s_intersection_graph(table, s).num_edges() << '\n';
+  for (const hyper::SOverlapRow& row : census) {
+    out << ' ' << row.s << "  " << row.components << "  " << row.largest
+        << "  " << row.edges << '\n';
   }
   maybe_context_stats(args, ctx, out);
   return 0;

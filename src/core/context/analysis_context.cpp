@@ -101,7 +101,8 @@ const PeelStats& AnalysisContext::core_peel_stats() const {
 
 const HypergraphSummary& AnalysisContext::summary() const {
   return summary_.get("context.build.summary", [&] {
-    return summarize(hypergraph_, components(), overlaps().max_degree2());
+    return summarize(hypergraph_, components(),
+                     max_edge_degree2(hypergraph_));
   });
 }
 
@@ -128,7 +129,7 @@ void AnalysisContext::prefetch() const {
   group.run([this] { cores(); });
   group.run([this] { paths(); });  // internally parallel; shares the pool
   group.wait();
-  summary();  // components() and overlaps() are warm now
+  summary();  // components() is warm now
 }
 
 index_t AnalysisContext::rebase(Hypergraph h) {

@@ -13,11 +13,11 @@
 // Concurrency: each slot is guarded by its own mutex with an atomic
 // ready flag fast path, so concurrent readers racing on a cold slot
 // build it exactly once and everyone blocks until the value is ready.
-// Slots may depend on one another (summary pulls components and
-// overlaps); the dependency graph is acyclic, so nested builds cannot
-// deadlock. Counter updates are relaxed atomics -- ContextStats
-// snapshots are advisory, the cached references are what carry the
-// synchronization.
+// Slots may depend on one another (summary pulls components, the star
+// projection pulls the baits); the dependency graph is acyclic, so
+// nested builds cannot deadlock. Counter updates are relaxed atomics --
+// ContextStats snapshots are advisory, the cached references are what
+// carry the synchronization.
 //
 // Mutation (PR-6): slots can be reset individually, and rebase() swaps
 // in a new hypergraph resetting only the slots that were actually
@@ -185,7 +185,8 @@ class AnalysisContext {
   /// Histogram of hyperedge cardinalities.
   const Histogram& edge_size_histogram() const;
 
-  /// Pairwise hyperedge overlap table (Delta_2,F and friends).
+  /// Pairwise hyperedge overlap table (per-pair overlaps, d2 rows; the
+  /// s-overlap census reads it).
   const OverlapTable& overlaps() const;
 
   /// Reduced hypergraph (non-maximal hyperedges removed) with parent
@@ -199,8 +200,9 @@ class AnalysisContext {
   /// core decomposition if it has not run yet.
   const PeelStats& core_peel_stats() const;
 
-  /// Table-1 style structural summary; shares components() and
-  /// overlaps() instead of rebuilding them.
+  /// Table-1 style structural summary; shares components() instead of
+  /// rebuilding it. Delta_2,F is a count-only pass (max_edge_degree2),
+  /// so the summary never builds overlaps().
   const HypergraphSummary& summary() const;
 
   /// Exact all-pairs path statistics (diameter, average length).
@@ -211,11 +213,10 @@ class AnalysisContext {
   RepresentationCosts representation_costs() const;
 
   /// Build every artifact eagerly, fanning the independent slots out
-  /// across the shared pool (src/par/) via a TaskGroup. Slots that
-  /// depend on others (summary on components + overlaps) are built
-  /// after the fan-out, when their inputs are already warm. Safe to
-  /// call concurrently with readers: the per-slot once_flags still
-  /// guarantee exactly-once construction. At HP_THREADS=1 this runs
+  /// across the shared pool (src/par/) via a TaskGroup. The summary,
+  /// which depends on components, is built after the fan-out, when its
+  /// input is already warm. Safe to call concurrently with readers: the
+  /// per-slot once_flags still guarantee exactly-once construction. At HP_THREADS=1 this runs
   /// every build inline, in declaration order.
   void prefetch() const;
 

@@ -10,8 +10,9 @@
 //
 // Storage and lookups live in FlatOverlapTracker
 // (core/peel/flat_overlap.hpp), a read-only CSR-of-rows store. This
-// class is the facade used by stats.cpp / Table-1 reporting, the
-// s-overlap census and their tests.
+// class is the facade used by Table-1 reporting, the s-overlap census
+// and their tests. The summary's Delta_2,F comes from max_edge_degree2,
+// which counts row widths without building the table.
 #pragma once
 
 #include <utility>
@@ -87,6 +88,11 @@ class OverlapTable {
  private:
   FlatOverlapTracker tracker_;
 };
+
+/// Delta_2,F without the table: OverlapTable{h}.max_degree2(), counted
+/// row by row with one epoch-stamp array. Stores no rows and sorts
+/// nothing; same O(sum_f sum_{v in f} d(v)) walk as the table build.
+index_t max_edge_degree2(const Hypergraph& h);
 
 /// d2(v): number of distinct vertices other than v sharing a hyperedge
 /// with v (the cover algorithm's complexity parameter).

@@ -56,6 +56,24 @@ struct SPathSummary {
 
 SPathSummary s_path_summary(const Hypergraph& h, index_t s);
 
+/// One row of the s-overlap census: the s-intersection graph at
+/// threshold s, summarized.
+struct SOverlapRow {
+  index_t s = 0;
+  index_t components = 0;  ///< s_components(...).count
+  index_t largest = 0;     ///< hyperedges in the largest s-component
+  count_t edges = 0;       ///< s_intersection_graph(...).num_edges()
+};
+
+/// The census for every s = 1..max_meaningful_s(table), ascending
+/// (row s - 1 holds threshold s; empty when all hyperedges are pairwise
+/// disjoint). One counting-sort pass buckets the f < g pairs by
+/// overlap, then one union-find sweep from s_max down to 1 adds each
+/// bucket: components = |F| - successful unions, largest = running max
+/// of merged sizes, edges = cumulative pair count. O(P α(|F|) + s_max)
+/// for P overlapping pairs, instead of two graph builds per s.
+std::vector<SOverlapRow> s_overlap_census(const OverlapTable& table);
+
 /// The largest s for which some pair of distinct hyperedges still
 /// overlaps in >= s vertices (0 if all hyperedges are pairwise
 /// disjoint). Above this value every s-intersection graph is empty.

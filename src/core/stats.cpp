@@ -8,8 +8,7 @@
 namespace hp::hyper {
 
 HypergraphSummary summarize(const Hypergraph& h) {
-  return summarize(h, connected_components(h),
-                   OverlapTable{h}.max_degree2());
+  return summarize(h, connected_components(h), max_edge_degree2(h));
 }
 
 HypergraphSummary summarize(const Hypergraph& h,

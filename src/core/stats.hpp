@@ -31,8 +31,8 @@ struct HypergraphSummary {
 HypergraphSummary summarize(const Hypergraph& h);
 
 /// Assemble the summary from precomputed parts (the AnalysisContext
-/// path: components and the overlap table are shared artifacts there,
-/// not rebuilt per summary).
+/// path: components are a shared artifact there, not rebuilt per
+/// summary). `max_degree2` is Delta_2,F (max_edge_degree2).
 HypergraphSummary summarize(const Hypergraph& h,
                             const HyperComponents& components,
                             index_t max_degree2);

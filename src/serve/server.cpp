@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
-#include <fstream>
 #include <limits>
 #include <sstream>
 #include <string_view>
@@ -88,6 +87,11 @@ Server::~Server() {
 
 void Server::start() {
   HP_REQUIRE(!started_, "Server::start called twice");
+  if (!options_.record_path.empty()) {
+    journal_.open(options_.record_path, std::ios::app);
+    HP_REQUIRE(journal_.is_open(), "serve: cannot open --record file '" +
+                                       options_.record_path + "'");
+  }
   listener_ = listen_on(options_.endpoint);
   started_ = true;
   accept_thread_ = std::thread([this] { accept_main(); });
@@ -342,8 +346,8 @@ proto::Response Server::dispatch(const proto::Request& request,
 void Server::record_frame(const std::string& frame) {
   if (options_.record_path.empty()) return;
   std::lock_guard<std::mutex> lock(record_mutex_);
-  std::ofstream out(options_.record_path, std::ios::app);
-  out << frame << '\n';
+  journal_ << frame << '\n';
+  journal_.flush();
 }
 
 }  // namespace hp::serve

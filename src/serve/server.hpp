@@ -29,6 +29,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <fstream>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -48,7 +49,8 @@ struct ServerOptions {
   /// Per-request deadline when the request carries none; 0 = unlimited.
   std::uint64_t default_timeout_ms = 0;
   /// When non-empty, append every request frame here (one per line) for
-  /// later replay with `hp_cli query --script`.
+  /// later replay with `hp_cli query --script`. The file is opened once
+  /// by start() and flushed after every frame.
   std::string record_path;
 };
 
@@ -60,7 +62,9 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Bind, listen, spawn the accept thread. Throws SocketError.
+  /// Open the journal (if any), bind, listen, spawn the accept thread.
+  /// Throws InvalidInputError when the journal cannot be opened and
+  /// SocketError when the endpoint cannot be bound.
   void start();
 
   /// Begin shutdown: stop accepting, half-close connections. Safe from
@@ -114,6 +118,7 @@ class Server {
   std::size_t live_connections_ = 0;  ///< guarded by connections_mutex_
 
   std::mutex record_mutex_;
+  std::ofstream journal_;  ///< open iff record_path is set; record_mutex_
 
   std::unique_ptr<ContextPool> pool_;
 };

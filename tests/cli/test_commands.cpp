@@ -194,6 +194,48 @@ TEST_F(CliTest, SoverlapCommand) {
   EXPECT_NE(out.str().find("max meaningful s: 2"), std::string::npos);
 }
 
+TEST_F(CliTest, SoverlapAndDelta2GoldenOnCalibratedSurrogate) {
+  // The calibrated surrogate (default seed): the whole s-overlap census
+  // and the summary's Delta_2,F line, pinned byte for byte.
+  const std::string path = dir_ + "/cli_soverlap_golden.tsv";
+  std::ostringstream generated;
+  ASSERT_EQ(cmd_generate(make_args({"generate", path.c_str()}), generated),
+            0);
+  std::ostringstream soverlap;
+  EXPECT_EQ(cmd_soverlap(make_args({"soverlap", path.c_str()}), soverlap), 0);
+  EXPECT_EQ(soverlap.str(),
+            "max meaningful s: 22\n"
+            " s  components  largest  edges\n"
+            " 1  15  218  2738\n"
+            " 2  71  162  680\n"
+            " 3  141  89  228\n"
+            " 4  180  16  142\n"
+            " 5  192  13  99\n"
+            " 6  204  12  66\n"
+            " 7  206  11  56\n"
+            " 8  212  9  45\n"
+            " 9  213  9  41\n"
+            " 10  216  9  33\n"
+            " 11  219  9  22\n"
+            " 12  220  8  18\n"
+            " 13  222  7  16\n"
+            " 14  225  4  10\n"
+            " 15  226  4  9\n"
+            " 16  228  3  5\n"
+            " 17  228  3  5\n"
+            " 18  228  3  5\n"
+            " 19  228  3  5\n"
+            " 20  230  3  2\n"
+            " 21  231  2  1\n"
+            " 22  231  2  1\n");
+  std::ostringstream stats;
+  EXPECT_EQ(cmd_stats(make_args({"stats", path.c_str()}), stats), 0);
+  EXPECT_NE(stats.str().find("\nDelta_2,F (max degree-2)  : 74\n"),
+            std::string::npos)
+      << stats.str();
+  std::remove(path.c_str());
+}
+
 TEST_F(CliTest, SmallworldCommand) {
   std::ostringstream out;
   const int rc = cmd_smallworld(

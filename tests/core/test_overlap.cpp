@@ -59,6 +59,46 @@ TEST(OverlapTable, EmptyHypergraph) {
   EXPECT_EQ(t.num_edges(), 0u);
 }
 
+TEST(MaxEdgeDegree2, ToyAndEmpty) {
+  EXPECT_EQ(max_edge_degree2(testing::toy_hypergraph()), 3u);
+  EXPECT_EQ(max_edge_degree2(HypergraphBuilder{0}.build()), 0u);
+  EXPECT_EQ(max_edge_degree2(HypergraphBuilder{4}.build()), 0u);
+}
+
+TEST(MaxEdgeDegree2, MatchesTableOnEdgeCases) {
+  HypergraphBuilder disjoint{7};  // vertex 6 isolated
+  disjoint.add_edge({0, 1});
+  disjoint.add_edge({2, 3, 4});
+  disjoint.add_edge({5});
+  const Hypergraph pairwise_disjoint = disjoint.build();
+  EXPECT_EQ(max_edge_degree2(pairwise_disjoint), 0u);
+
+  HypergraphBuilder dup{6};  // vertex 5 isolated
+  dup.add_edge({0, 1, 2});
+  dup.add_edge({0, 1, 2});
+  dup.add_edge({0, 1, 2});
+  dup.add_edge({2, 3});
+  dup.add_edge({4});
+  const Hypergraph duplicates = dup.build();
+  EXPECT_EQ(max_edge_degree2(duplicates), 3u);  // e2 meets e0, e1, e3
+
+  for (const Hypergraph* h : {&pairwise_disjoint, &duplicates}) {
+    EXPECT_EQ(max_edge_degree2(*h), OverlapTable{*h}.max_degree2());
+  }
+}
+
+TEST(MaxEdgeDegree2, MatchesTableOnRandomInputs) {
+  for (std::uint64_t seed = 0; seed < 50; ++seed) {
+    Rng rng{seed};
+    // More vertices than pins leaves some isolated on small instances.
+    const index_t nv = 5 + static_cast<index_t>(seed % 60);
+    const index_t ne = static_cast<index_t>(seed % 40);
+    const Hypergraph h = testing::random_hypergraph(rng, nv, ne, 8);
+    EXPECT_EQ(max_edge_degree2(h), OverlapTable{h}.max_degree2())
+        << "seed " << seed;
+  }
+}
+
 TEST(VertexDegree2, ToyValues) {
   const Hypergraph h = testing::toy_hypergraph();
   const auto d2 = vertex_degree2(h);

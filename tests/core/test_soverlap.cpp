@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "core/projection.hpp"
 #include "test_helpers.hpp"
 
@@ -101,6 +104,81 @@ TEST(SIntersection, AboveMaxMeaningfulSIsEmpty) {
     EXPECT_GT(s_intersection_graph(h, s_max).num_edges(), 0u);
   }
   EXPECT_EQ(s_intersection_graph(h, s_max + 1).num_edges(), 0u);
+}
+
+/// The census must equal the per-s definitions row for row.
+void expect_census_matches_per_s(const Hypergraph& h) {
+  const OverlapTable table{h};
+  const std::vector<SOverlapRow> census = s_overlap_census(table);
+  const index_t s_max = max_meaningful_s(table);
+  ASSERT_EQ(census.size(), s_max);
+  for (index_t s = 1; s <= s_max; ++s) {
+    const SOverlapRow& row = census[s - 1];
+    const SComponents comp = s_components(table, s);
+    EXPECT_EQ(row.s, s);
+    EXPECT_EQ(row.components, comp.count) << "s = " << s;
+    EXPECT_EQ(row.largest, comp.sizes[comp.largest()]) << "s = " << s;
+    EXPECT_EQ(row.edges, s_intersection_graph(table, s).num_edges())
+        << "s = " << s;
+  }
+}
+
+TEST(SOverlapCensus, ToyRows) {
+  const std::vector<SOverlapRow> census =
+      s_overlap_census(OverlapTable{toy()});
+  ASSERT_EQ(census.size(), 4u);
+  // s = 2: {e0,e1,e4} plus isolated e2, e3; pairs (0,1) (0,4) (1,4).
+  EXPECT_EQ(census[1].components, 3u);
+  EXPECT_EQ(census[1].largest, 3u);
+  EXPECT_EQ(census[1].edges, 3u);
+  // s = 4: only (e0, e4).
+  EXPECT_EQ(census[3].components, 4u);
+  EXPECT_EQ(census[3].largest, 2u);
+  EXPECT_EQ(census[3].edges, 1u);
+  expect_census_matches_per_s(toy());
+}
+
+TEST(SOverlapCensus, NoEdgesIsEmpty) {
+  EXPECT_TRUE(s_overlap_census(OverlapTable{HypergraphBuilder{0}.build()})
+                  .empty());
+  EXPECT_TRUE(s_overlap_census(OverlapTable{HypergraphBuilder{5}.build()})
+                  .empty());
+}
+
+TEST(SOverlapCensus, PairwiseDisjointEdgesAreEmpty) {
+  HypergraphBuilder disjoint{6};
+  disjoint.add_edge({0, 1});
+  disjoint.add_edge({2, 3, 4});
+  disjoint.add_edge({5});
+  EXPECT_TRUE(s_overlap_census(OverlapTable{disjoint.build()}).empty());
+}
+
+TEST(SOverlapCensus, DuplicateEdges) {
+  HypergraphBuilder b{6};
+  b.add_edge({0, 1, 2});
+  b.add_edge({0, 1, 2});
+  b.add_edge({0, 1, 2});
+  b.add_edge({2, 3});
+  b.add_edge({4, 5});
+  b.add_edge({4, 5});
+  const Hypergraph h = b.build();
+  const std::vector<SOverlapRow> census = s_overlap_census(OverlapTable{h});
+  ASSERT_EQ(census.size(), 3u);
+  EXPECT_EQ(census[2].components, 4u);  // {e0,e1,e2}, {e3}, {e4}, {e5}
+  EXPECT_EQ(census[2].largest, 3u);
+  EXPECT_EQ(census[2].edges, 3u);
+  expect_census_matches_per_s(h);
+}
+
+TEST(SOverlapCensus, MatchesPerSOnRandomInputs) {
+  for (std::uint64_t seed = 0; seed < 50; ++seed) {
+    Rng rng{seed};
+    const index_t nv = 5 + static_cast<index_t>(seed % 30);
+    const index_t ne = static_cast<index_t>(seed % 40);
+    const Hypergraph h = testing::random_hypergraph(rng, nv, ne, 8);
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    expect_census_matches_per_s(h);
+  }
 }
 
 }  // namespace

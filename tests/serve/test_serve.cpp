@@ -2,8 +2,9 @@
 // sockets: query dispatch, context-cache hits, eviction, per-request
 // timeouts, graceful shutdown draining in-flight work, protocol-error
 // handling on a live connection, a multi-client concurrency storm, the
-// per-request trace tree, and the bounds on what clients can grow
-// (connection threads, the connections gauge, metric names).
+// per-request trace tree, the bounds on what clients can grow
+// (connection threads, the connections gauge, metric names), and the
+// request journal.
 //
 // The storm and dispatch suites run three times in CI: plain, under
 // HP_THREADS=1 (every request executes inline), and HP_THREADS=16
@@ -14,6 +15,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <thread>
@@ -422,6 +424,45 @@ TEST_F(ServeTest, BogusCommandsDoNotGrowTheMetricsRegistry) {
     if (h.name == "server.cmd.unknown_ns") unknown_bucket = h.count >= 1000;
   }
   EXPECT_TRUE(unknown_bucket);
+}
+
+TEST_F(ServeTest, JournalStaysOpenAcrossFrames) {
+  // The journal is opened once at start: a frame recorded after the file
+  // was renamed lands in the renamed file, not in a new file at the old
+  // path.
+  const std::string journal = dir_ + "/journal.jsonl";
+  const std::string renamed = dir_ + "/journal_renamed.jsonl";
+  std::remove(journal.c_str());
+  std::remove(renamed.c_str());
+  ServerOptions opts = options("journal");
+  opts.record_path = journal;
+  Server server{opts};
+  server.start();
+  {
+    Client client{server.endpoint()};
+    ASSERT_TRUE(client.query("ping", "").ok);
+    ASSERT_EQ(std::rename(journal.c_str(), renamed.c_str()), 0);
+    ASSERT_TRUE(client.query("stats", data_a_).ok);
+  }
+  server.request_stop();
+  server.wait();
+
+  std::ifstream in{renamed};
+  std::vector<std::string> frames;
+  for (std::string line; std::getline(in, line);) frames.push_back(line);
+  ASSERT_EQ(frames.size(), 2u);
+  EXPECT_NE(frames[0].find("ping"), std::string::npos) << frames[0];
+  EXPECT_NE(frames[1].find("stats"), std::string::npos) << frames[1];
+  EXPECT_FALSE(std::ifstream{journal}.good())
+      << "a frame reopened the journal at its old path";
+  std::remove(renamed.c_str());
+}
+
+TEST_F(ServeTest, UnopenableJournalFailsAtStart) {
+  ServerOptions opts = options("journal_bad");
+  opts.record_path = dir_ + "/no-such-dir/journal.jsonl";
+  Server server{opts};
+  EXPECT_THROW(server.start(), InvalidInputError);
 }
 
 TEST_F(ServeTest, UsageListsRegisteredServeCommands) {
