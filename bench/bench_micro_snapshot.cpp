@@ -8,17 +8,12 @@
 //   * text parse -- load_text: read + tokenize + builder. The format
 //     every other loader is differentially tested against, and the
 //     baseline the snapshot gate is measured from.
-//   * binary parse -- load_binary: read + per-pin decode + builder.
-//     What a non-mmap binary format buys on its own.
 //   * snapshot open (warm) -- snapshot::open with the file already in
 //     the page cache: mmap + header/offset-table checks, zero per-pin
 //     work. This is the gated row.
 //   * snapshot open (cold) -- the same after asking the kernel to drop
 //     the file's cached pages (posix_fadvise DONTNEED; Linux only),
 //     so the cost of faulting pages back in is visible.
-//   * snapshot open (varint) -- the compressed variant: mmap + offset
-//     copy + per-pin varint decode into owned storage. Trades the
-//     zero-copy open for the smallest file.
 //   * validate -- hyper::validate on the warm-opened snapshot: the one
 //     O(pins) pass every untrusted load pays.
 //   * load_dataset (.hps) -- cli::load_dataset on the warm snapshot:
@@ -48,7 +43,6 @@
 
 #include "bio/cellzome_synth.hpp"
 #include "cli/commands.hpp"
-#include "core/binary_io.hpp"
 #include "core/hypergraph.hpp"
 #include "core/hypergraph_io.hpp"
 #include "core/snapshot/snapshot.hpp"
@@ -125,21 +119,14 @@ InstanceTiming run_instance(const std::string& name, const Hypergraph& base,
   const int open_reps = quick ? 8 : 16;
 
   const std::string text_path = "bench_snapshot_tmp.hyper";
-  const std::string binary_path = "bench_snapshot_tmp.hpb";
   const std::string snap_path = "bench_snapshot_tmp.hps";
-  const std::string varint_path = "bench_snapshot_tmp_varint.hps";
   hp::hyper::save_text(base, text_path);
-  hp::hyper::save_binary(base, binary_path);
   hp::hyper::snapshot::save(base, snap_path);
-  hp::hyper::snapshot::SaveOptions varint;
-  varint.codec = hp::hyper::snapshot::Codec::kVarint;
-  hp::hyper::snapshot::save(base, varint_path, varint);
 
   // The differential reference, and a one-time deep check that the
   // mapped view is structurally valid (the timed loop only compares).
   const Hypergraph reference = hp::hyper::load_text(text_path);
   hp::hyper::validate(hp::hyper::snapshot::open(snap_path));
-  hp::hyper::validate(hp::hyper::snapshot::open(varint_path));
 
   InstanceTiming out;
   out.name = name;
@@ -152,11 +139,6 @@ InstanceTiming run_instance(const std::string& name, const Hypergraph& base,
        time_loader([&] { return hp::hyper::load_text(text_path); }, reference,
                    "text parse", parse_reps),
        file_size(text_path), 0.0});
-  out.workloads.push_back(
-      {"binary parse",
-       time_loader([&] { return hp::hyper::load_binary(binary_path); },
-                   reference, "binary parse", parse_reps),
-       file_size(binary_path), 0.0});
   out.workloads.push_back(
       {"snapshot open (warm)",
        time_loader([&] { return hp::hyper::snapshot::open(snap_path); },
@@ -180,11 +162,6 @@ InstanceTiming run_instance(const std::string& name, const Hypergraph& base,
     out.workloads.push_back({"snapshot open (cold)", best,
                              file_size(snap_path), 0.0});
   }
-  out.workloads.push_back(
-      {"snapshot open (varint)",
-       time_loader([&] { return hp::hyper::snapshot::open(varint_path); },
-                   reference, "varint snapshot open", open_reps),
-       file_size(varint_path), 0.0});
   {
     const Hypergraph mapped = hp::hyper::snapshot::open(snap_path);
     double best = 0.0;
@@ -207,8 +184,7 @@ InstanceTiming run_instance(const std::string& name, const Hypergraph& base,
     w.speedup = w.seconds > 0.0 ? text_seconds / w.seconds : 0.0;
   }
 
-  for (const std::string& p :
-       {text_path, binary_path, snap_path, varint_path}) {
+  for (const std::string& p : {text_path, snap_path}) {
     std::remove(p.c_str());
   }
   return out;
@@ -281,7 +257,7 @@ int main(int argc, char** argv) {
   const index_t scaled_target =
       static_cast<index_t>(args.get_int("proteins", 100000));
 
-  std::printf("=== snapshot format: mmap open vs parse-based loaders ===\n");
+  std::printf("=== snapshot format: mmap open vs text parse ===\n");
 
   std::vector<InstanceTiming> instances;
   {

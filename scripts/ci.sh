@@ -91,24 +91,18 @@ mkdir -p "${snap_dir}"
   --proteins 20000
 "${prefix}/src/cli/hyperproteome" snapshot convert \
   "${snap_dir}/surrogate.hyper" "${snap_dir}/surrogate.hps"
-"${prefix}/src/cli/hyperproteome" snapshot convert \
-  "${snap_dir}/surrogate.hyper" "${snap_dir}/surrogate_varint.hps" \
-  --codec varint
 "${prefix}/src/cli/hyperproteome" snapshot verify "${snap_dir}/surrogate.hps"
-"${prefix}/src/cli/hyperproteome" snapshot verify \
-  "${snap_dir}/surrogate_varint.hps"
 "${prefix}/src/cli/hyperproteome" convert "${snap_dir}/surrogate.hyper" \
   "${snap_dir}/surrogate.tsv"
 # Analysis over the mmap'd snapshot and over the named complex table
 # must print exactly what the .hyper path prints (storage and naming
 # are implementation details).
 for cmd in stats soverlap; do
-  for input in surrogate.hyper surrogate.tsv surrogate.hps \
-      surrogate_varint.hps; do
+  for input in surrogate.hyper surrogate.tsv surrogate.hps; do
     "${prefix}/src/cli/hyperproteome" "${cmd}" "${snap_dir}/${input}" \
       > "${snap_dir}/${cmd}_${input}.txt"
   done
-  for input in surrogate.tsv surrogate.hps surrogate_varint.hps; do
+  for input in surrogate.tsv surrogate.hps; do
     diff "${snap_dir}/${cmd}_surrogate.hyper.txt" \
       "${snap_dir}/${cmd}_${input}.txt"
   done
@@ -316,19 +310,6 @@ wait "${server_pid}"
 grep -q "server stopped" "${serve_dir}/server.log"
 "${prefix}/src/obs/hp_trace_check" "${serve_dir}/serve_trace.json" \
   --require-span serve.request --min-spans 5
-# The standalone daemon binary answers the same protocol.
-"${prefix}/src/serve/hp_serve" --socket "unix:${serve_dir}/hpd.sock" \
-  > "${serve_dir}/daemon.log" 2>&1 &
-daemon_pid=$!
-for _ in $(seq 1 100); do
-  [ -S "${serve_dir}/hpd.sock" ] && break
-  sleep 0.1
-done
-"${prefix}/src/cli/hyperproteome" query \
-  --socket "unix:${serve_dir}/hpd.sock" ping | grep -q "pong"
-"${prefix}/src/cli/hyperproteome" query \
-  --socket "unix:${serve_dir}/hpd.sock" shutdown > /dev/null
-wait "${daemon_pid}"
 
 echo "=== analysis server ablation bench (quick) ==="
 "${prefix}/bench/bench_micro_serve" --quick --json "${root}/BENCH_serve.json"

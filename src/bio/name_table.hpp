@@ -7,7 +7,7 @@
 //     tables, the Cellzome surrogate). Ids are assigned in first-seen
 //     order; each name is stored with a hash index for lookups.
 //   * numbered -- the implicit scheme of the nameless formats (.hyper,
-//     .hgr, .hpb, .hps, .mtx): id i is named "<prefix><i>" ("v12",
+//     .hgr, .hps, .mtx): id i is named "<prefix><i>" ("v12",
 //     "f3"). Nothing is stored; name_of formats the name when asked and
 //     id_of parses the canonical decimal form, so building a table over
 //     10^6 ids costs O(1).

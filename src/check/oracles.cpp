@@ -5,7 +5,6 @@
 #include <optional>
 #include <sstream>
 
-#include "core/binary_io.hpp"
 #include "core/context/analysis_context.hpp"
 #include "core/cover.hpp"
 #include "core/dual.hpp"
@@ -431,26 +430,13 @@ void check_roundtrips(const Hypergraph& h,
       fail(failures, "roundtrip",
            "hMETIS round-trip changed the hypergraph");
     }
-    if (!same_structure(hyper::from_binary(hyper::to_binary(h)), h)) {
-      fail(failures, "roundtrip",
-           "binary round-trip changed the hypergraph");
-    }
-    // Snapshot bytes, both codecs, differentially against the text
-    // loader: to_text/from_text is the independent reference.
-    const Hypergraph via_text = hyper::from_text(hyper::to_text(h));
+    // Snapshot bytes, differentially against the text loader:
+    // to_text/from_text is the independent reference.
     if (!same_structure(hyper::snapshot::from_bytes(
                             hyper::snapshot::to_bytes(h)),
-                        via_text)) {
+                        hyper::from_text(hyper::to_text(h)))) {
       fail(failures, "roundtrip",
-           "snapshot (raw) round-trip disagrees with the text loader");
-    }
-    hyper::snapshot::SaveOptions varint;
-    varint.codec = hyper::snapshot::Codec::kVarint;
-    if (!same_structure(hyper::snapshot::from_bytes(
-                            hyper::snapshot::to_bytes(h, varint)),
-                        via_text)) {
-      fail(failures, "roundtrip",
-           "snapshot (varint) round-trip disagrees with the text loader");
+           "snapshot round-trip disagrees with the text loader");
     }
   } catch (const std::exception& e) {
     fail(failures, "roundtrip",
@@ -515,15 +501,11 @@ std::vector<CheckFailure> check_mutated_loads(const Hypergraph& h, Rng& rng,
       incidence.entries.push_back(mm::Entry{e, v, 1.0});
     }
   }
-  hyper::snapshot::SaveOptions varint_options;
-  varint_options.codec = hyper::snapshot::Codec::kVarint;
   const Format formats[] = {
       {"text", false, hyper::to_text(h),
        [](const std::string& s) { return hyper::from_text(s); }},
       {"hmetis", false, hyper::to_hmetis(h),
        [](const std::string& s) { return hyper::from_hmetis(s); }},
-      {"binary", true, hyper::to_binary(h),
-       [](const std::string& s) { return hyper::from_binary(s); }},
       {"matrix_market", false, mm::format_matrix_market(incidence),
        [](const std::string& s) {
          return mm::row_net_hypergraph(mm::parse_matrix_market(s));
@@ -533,8 +515,6 @@ std::vector<CheckFailure> check_mutated_loads(const Hypergraph& h, Rng& rng,
       // (ParseError from the checksum/bounds checks) or yield a graph
       // that still passes validate() -- never UB or a crash.
       {"snapshot", true, hyper::snapshot::to_bytes(h),
-       [](const std::string& s) { return hyper::snapshot::from_bytes(s); }},
-      {"snapshot_varint", true, hyper::snapshot::to_bytes(h, varint_options),
        [](const std::string& s) { return hyper::snapshot::from_bytes(s); }},
   };
 

@@ -29,7 +29,7 @@
 //   * mutation        -- the incremental pipeline (core/mutate/) stays
 //     bit-identical to from-scratch rebuilds across a random mutation
 //     trace (see check/mutation.hpp; failing traces are ddmin-shrunk).
-//   * round-trips     -- text/hMETIS/binary/MatrixMarket serialization
+//   * round-trips     -- text/hMETIS/snapshot/MatrixMarket serialization
 //     is lossless; Pajek export has the declared line structure.
 //   * mutated loads   -- corrupted serializations either raise
 //     ParseError/InvalidInputError or parse into a structurally valid

@@ -10,7 +10,6 @@
 #include "bio/paper_report.hpp"
 #include "check/mutation.hpp"
 #include "cli/query.hpp"
-#include "core/binary_io.hpp"
 #include "core/context/analysis_context.hpp"
 #include "core/mutate/mutable_context.hpp"
 #include "core/cover.hpp"
@@ -41,7 +40,6 @@ namespace {
 enum class Format {
   kHyper,
   kHmetis,
-  kBinary,
   kSnapshot,
   kMatrixMarket,
   kComplexTable
@@ -53,13 +51,19 @@ Format detect_format(const std::string& path) {
       dot == std::string::npos ? "" : to_lower(path.substr(dot + 1));
   if (ext == "hyper") return Format::kHyper;
   if (ext == "hgr") return Format::kHmetis;
-  if (ext == "hpb") return Format::kBinary;
   if (ext == "hps") return Format::kSnapshot;
   if (ext == "mtx") return Format::kMatrixMarket;
   if (ext == "tsv" || ext == "txt") return Format::kComplexTable;
+  if (ext == "hpb") {
+    throw InvalidInputError{
+        "'" + path +
+        "': the .hpb format is no longer supported; write the binary "
+        "snapshot from the text source with `snapshot convert <text file> "
+        "out.hps`"};
+  }
   throw InvalidInputError{
       "unrecognized file extension on '" + path +
-      "' (expected .hyper, .hgr, .hpb, .hps, .mtx, .tsv, .txt)"};
+      "' (expected .hyper, .hgr, .hps, .mtx, .tsv, .txt)"};
 }
 
 /// Wrap a bare hypergraph in a dataset named by the numbered scheme
@@ -115,8 +119,6 @@ bio::ComplexDataset load_dataset(const std::string& path) {
         return wrap(hyper::load_text(path));
       case Format::kHmetis:
         return wrap(hyper::load_hmetis(path));
-      case Format::kBinary:
-        return wrap(hyper::load_binary(path));
       case Format::kSnapshot:
         return wrap(hyper::snapshot::open(path));
       case Format::kMatrixMarket:
@@ -150,9 +152,6 @@ void save_dataset(const bio::ComplexDataset& data, const std::string& path) {
     case Format::kHmetis:
       hyper::save_hmetis(data.hypergraph, path);
       return;
-    case Format::kBinary:
-      hyper::save_binary(data.hypergraph, path);
-      return;
     case Format::kSnapshot:
       hyper::snapshot::save(data.hypergraph, path);
       return;
@@ -162,8 +161,8 @@ void save_dataset(const bio::ComplexDataset& data, const std::string& path) {
     case Format::kMatrixMarket:
       throw InvalidInputError{
           "writing MatrixMarket from a hypergraph is not supported (the "
-          "row-net conversion is lossy); choose .hyper, .hgr, .hpb, .hps "
-          "or .tsv"};
+          "row-net conversion is lossy); choose .hyper, .hgr, .hps or "
+          ".tsv"};
   }
 }
 
@@ -434,26 +433,10 @@ int cmd_mutate(const Args& args, std::ostream& out) {
 
 namespace {
 
-hyper::snapshot::SaveOptions snapshot_options(const Args& args) {
-  hyper::snapshot::SaveOptions options;
-  const std::string codec = args.get("codec", "nop");
-  if (codec == "nop") {
-    options.codec = hyper::snapshot::Codec::kNone;
-  } else if (codec == "varint") {
-    options.codec = hyper::snapshot::Codec::kVarint;
-  } else {
-    throw InvalidInputError{"--codec must be 'nop' or 'varint'"};
-  }
-  return options;
-}
-
 void print_snapshot_info(const hyper::snapshot::Info& info,
                          const std::string& path, std::ostream& out) {
   out << path << ":\n"
       << "  format version : " << info.version << '\n'
-      << "  codec          : "
-      << (info.codec == hyper::snapshot::Codec::kVarint ? "varint" : "nop")
-      << '\n'
       << "  vertices       : " << info.num_vertices << '\n'
       << "  hyperedges     : " << info.num_edges << '\n'
       << "  pins           : " << info.num_pins << '\n'
@@ -470,15 +453,20 @@ int cmd_snapshot(const Args& args, std::ostream& out) {
   if (sub == "convert") {
     HP_REQUIRE(args.positional().size() >= 4,
                "snapshot convert needs an input and an output file");
+    // Args ignores unknown flags; an old script's --codec must not
+    // silently get a different file than it asked for.
+    if (args.has("codec")) {
+      throw InvalidInputError{
+          "snapshot convert has no --codec option: raw is the only "
+          "snapshot encoding (`snapshot convert <text file> out.hps`)"};
+    }
     const bio::ComplexDataset data = load_dataset(args.positional()[2]);
     const std::string& out_path = args.positional()[3];
-    hyper::snapshot::save(data.hypergraph, out_path, snapshot_options(args));
+    hyper::snapshot::save(data.hypergraph, out_path);
     const hyper::snapshot::Info info = hyper::snapshot::info(out_path);
     out << "wrote " << out_path << " (" << info.num_vertices
         << " vertices, " << info.num_edges << " hyperedges, "
-        << info.file_bytes << " bytes, codec "
-        << (info.codec == hyper::snapshot::Codec::kVarint ? "varint" : "nop")
-        << ")\n";
+        << info.file_bytes << " bytes)\n";
     return 0;
   }
   if (sub == "info") {
@@ -559,7 +547,7 @@ std::string usage() {
          "         [--script ops.txt] [--out f.hyper] [--peel-stats]\n"
          "                                         incremental mutation "
          "replay\n"
-         "  snapshot convert <in> <out.hps> [--codec nop|varint]\n"
+         "  snapshot convert <in> <out.hps>\n"
          "  snapshot info <f.hps> | verify <f.hps>\n"
          "                                         mmap'd zero-copy "
          "snapshots\n"
@@ -589,8 +577,8 @@ std::string usage() {
          "                      HP_SLOW_SPAN_MS\n"
          "\n"
          "formats by extension: .hyper (native), .hgr (hMETIS),\n"
-         "  .hpb (binary), .hps (mmap'd snapshot),\n"
-         "  .mtx (MatrixMarket row-net), .tsv/.txt (complex table)\n";
+         "  .hps (mmap'd snapshot), .mtx (MatrixMarket row-net),\n"
+         "  .tsv/.txt (complex table)\n";
   for (const RegisteredCommand& cmd : registered_commands()) {
     text += cmd.blurb;
   }

@@ -9,7 +9,6 @@
 // Input formats are selected by file extension:
 //   .hyper        hp-hyper text format (hypergraph_io)
 //   .hgr          hMETIS / PaToH
-//   .hpb          binary hypergraph (binary_io)
 //   .hps          mmap'd snapshot (core/snapshot; zero-copy open)
 //   .mtx          MatrixMarket (converted via the row-net model)
 //   .tsv / .txt   protein-complex membership table (names preserved)

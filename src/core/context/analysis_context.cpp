@@ -124,7 +124,6 @@ void AnalysisContext::prefetch() const {
   group.run([this] { components(); });
   group.run([this] { vertex_degree_histogram(); });
   group.run([this] { edge_size_histogram(); });
-  group.run([this] { overlaps(); });
   group.run([this] { reduced(); });
   group.run([this] { cores(); });
   group.run([this] { paths(); });  // internally parallel; shares the pool

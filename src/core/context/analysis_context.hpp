@@ -212,12 +212,14 @@ class AnalysisContext {
   /// cached projections (same numbers as hyper::representation_costs).
   RepresentationCosts representation_costs() const;
 
-  /// Build every artifact eagerly, fanning the independent slots out
-  /// across the shared pool (src/par/) via a TaskGroup. The summary,
-  /// which depends on components, is built after the fan-out, when its
-  /// input is already warm. Safe to call concurrently with readers: the
-  /// per-slot once_flags still guarantee exactly-once construction. At HP_THREADS=1 this runs
-  /// every build inline, in declaration order.
+  /// Build every artifact the report reads eagerly, fanning the
+  /// independent slots out across the shared pool (src/par/) via a
+  /// TaskGroup. The overlap table is not among them: only soverlap reads
+  /// it, and builds it on demand. The summary, which depends on
+  /// components, is built after the fan-out, when its input is already
+  /// warm. Safe to call concurrently with readers: the per-slot
+  /// once_flags still guarantee exactly-once construction. At
+  /// HP_THREADS=1 this runs every build inline, in declaration order.
   void prefetch() const;
 
   /// Swap in a new hypergraph, resetting every *built* slot (each reset

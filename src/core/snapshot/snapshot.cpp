@@ -4,17 +4,17 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
-#include <string_view>
 #include <utility>
 #include <vector>
 
-#include "core/snapshot/codec.hpp"
 #include "util/declared_sizes.hpp"
 #include "util/mmap_file.hpp"
 
 namespace hp::hyper::snapshot {
 
 namespace {
+
+using offset_t = Hypergraph::offset_t;
 
 void pad_to_alignment(std::string& out) {
   while (out.size() % kSectionAlignment != 0) out.push_back('\0');
@@ -57,8 +57,10 @@ Header read_and_check_header(const char* data, std::size_t size) {
   if (header.header_checksum != header_checksum(header)) {
     throw ParseError{"snapshot: header checksum mismatch"};
   }
-  if ((header.flags & ~kKnownFlags) != 0) {
-    throw ParseError{"snapshot: unknown flag bits"};
+  if (header.flags != 0) {
+    throw ParseError{
+        "snapshot: unsupported header flags (only raw snapshots are read; "
+        "rewrite it with `snapshot convert <text file> out.hps`)"};
   }
   if (header.reserved != 0) {
     throw ParseError{"snapshot: reserved header field not zero"};
@@ -84,9 +86,8 @@ Header read_and_check_header(const char* data, std::size_t size) {
       header.eoff_bytes != (header.num_edges + 1) * sizeof(offset_t)) {
     throw ParseError{"snapshot: offset section size disagrees with counts"};
   }
-  if ((header.flags & kFlagVarintAdjacency) == 0 &&
-      (header.vadj_bytes != header.num_pins * sizeof(index_t) ||
-       header.eadj_bytes != header.num_pins * sizeof(index_t))) {
+  if (header.vadj_bytes != header.num_pins * sizeof(index_t) ||
+      header.eadj_bytes != header.num_pins * sizeof(index_t)) {
     throw ParseError{"snapshot: adjacency section size disagrees with counts"};
   }
 
@@ -123,7 +124,7 @@ void check_offset_table(std::span<const offset_t> offsets, std::uint64_t pins,
 
 }  // namespace
 
-std::string to_bytes(const Hypergraph& h, const SaveOptions& options) {
+std::string to_bytes(const Hypergraph& h) {
   // A default-constructed hypergraph has empty offset views; on disk the
   // arrays always carry their leading 0.
   static constexpr offset_t kEmptyOffsets[1] = {0};
@@ -136,42 +137,24 @@ std::string to_bytes(const Hypergraph& h, const SaveOptions& options) {
   std::memcpy(header.magic, kMagic, sizeof(kMagic));
   header.endian_tag = kEndianTag;
   header.version = kFormatVersion;
-  header.flags =
-      options.codec == Codec::kVarint ? kFlagVarintAdjacency : 0u;
   header.num_vertices = h.num_vertices();
   header.num_edges = h.num_edges();
   header.num_pins = h.num_pins();
 
   std::string out(sizeof(Header), '\0');
-  const auto append_offsets = [&](std::span<const offset_t> offsets,
-                                  std::uint64_t& offset_field,
+  const auto append_section = [&](auto values, std::uint64_t& offset_field,
                                   std::uint64_t& bytes_field) {
     pad_to_alignment(out);
     offset_field = out.size();
-    out.append(reinterpret_cast<const char*>(offsets.data()),
-               offsets.size_bytes());
-    bytes_field = out.size() - offset_field;
-  };
-  const auto append_adjacency = [&](std::span<const index_t> values,
-                                    std::span<const offset_t> offsets,
-                                    std::uint64_t& offset_field,
-                                    std::uint64_t& bytes_field) {
-    pad_to_alignment(out);
-    offset_field = out.size();
-    if (options.codec == Codec::kVarint) {
-      VarintCodec::encode(values, offsets, out);
-    } else {
-      NopCodec::encode(values, offsets, out);
-    }
+    out.append(reinterpret_cast<const char*>(values.data()),
+               values.size_bytes());
     bytes_field = out.size() - offset_field;
   };
 
-  append_offsets(voff, header.voff_offset, header.voff_bytes);
-  append_adjacency(h.vertex_adjacency(), voff, header.vadj_offset,
-                   header.vadj_bytes);
-  append_offsets(eoff, header.eoff_offset, header.eoff_bytes);
-  append_adjacency(h.edge_adjacency(), eoff, header.eadj_offset,
-                   header.eadj_bytes);
+  append_section(voff, header.voff_offset, header.voff_bytes);
+  append_section(h.vertex_adjacency(), header.vadj_offset, header.vadj_bytes);
+  append_section(eoff, header.eoff_offset, header.eoff_bytes);
+  append_section(h.edge_adjacency(), header.eadj_offset, header.eadj_bytes);
 
   header.sections_checksum = sections_checksum_of(out.data(), header);
   header.header_checksum = header_checksum(header);
@@ -179,11 +162,10 @@ std::string to_bytes(const Hypergraph& h, const SaveOptions& options) {
   return out;
 }
 
-void save(const Hypergraph& h, const std::string& path,
-          const SaveOptions& options) {
+void save(const Hypergraph& h, const std::string& path) {
   std::ofstream out(path, std::ios::binary);
   if (!out) throw std::runtime_error{"snapshot::save: cannot open " + path};
-  const std::string bytes = to_bytes(h, options);
+  const std::string bytes = to_bytes(h);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   if (!out) {
     throw std::runtime_error{"snapshot::save: write failed for " + path};
@@ -204,22 +186,6 @@ Hypergraph open(const std::string& path) {
   check_offset_table(voff, header.num_pins, "vertex");
   check_offset_table(eoff, header.num_pins, "edge");
   const auto pins = static_cast<std::size_t>(header.num_pins);
-
-  if ((header.flags & kFlagVarintAdjacency) != 0) {
-    // Compressed adjacency: decode section-at-a-time into owned storage
-    // and let the mapping go when `file` leaves scope.
-    std::vector<offset_t> voff_owned(voff.begin(), voff.end());
-    std::vector<offset_t> eoff_owned(eoff.begin(), eoff.end());
-    std::vector<index_t> vadj(pins);
-    std::vector<index_t> eadj(pins);
-    VarintCodec::decode({base + header.vadj_offset, header.vadj_bytes},
-                        voff_owned, vadj);
-    VarintCodec::decode({base + header.eadj_offset, header.eadj_bytes},
-                        eoff_owned, eadj);
-    return Hypergraph::adopt_owned(std::move(voff_owned), std::move(vadj),
-                                   std::move(eoff_owned), std::move(eadj));
-  }
-
   const std::span<const index_t> vadj{
       reinterpret_cast<const index_t*>(base + header.vadj_offset), pins};
   const std::span<const index_t> eadj{
@@ -234,32 +200,27 @@ Hypergraph from_bytes(const std::string& bytes) {
     throw ParseError{"snapshot: section checksum mismatch"};
   }
 
-  // The string buffer carries no alignment guarantee; memcpy the offset
-  // tables out before reading them.
+  // The string buffer carries no alignment guarantee; memcpy every
+  // section out (read_and_check_header fixed their sizes) before reading.
+  const auto copy_section = [&](auto& into, std::uint64_t offset) {
+    if (!into.empty()) {
+      std::memcpy(into.data(), bytes.data() + offset,
+                  into.size() * sizeof(into[0]));
+    }
+  };
   std::vector<offset_t> voff(static_cast<std::size_t>(header.num_vertices) +
                              1);
   std::vector<offset_t> eoff(static_cast<std::size_t>(header.num_edges) + 1);
-  std::memcpy(voff.data(), bytes.data() + header.voff_offset,
-              header.voff_bytes);
-  std::memcpy(eoff.data(), bytes.data() + header.eoff_offset,
-              header.eoff_bytes);
+  copy_section(voff, header.voff_offset);
+  copy_section(eoff, header.eoff_offset);
   check_offset_table(voff, header.num_pins, "vertex");
   check_offset_table(eoff, header.num_pins, "edge");
 
   const auto pins = static_cast<std::size_t>(header.num_pins);
   std::vector<index_t> vadj(pins);
   std::vector<index_t> eadj(pins);
-  const std::string_view vadj_section{bytes.data() + header.vadj_offset,
-                                      header.vadj_bytes};
-  const std::string_view eadj_section{bytes.data() + header.eadj_offset,
-                                      header.eadj_bytes};
-  if ((header.flags & kFlagVarintAdjacency) != 0) {
-    VarintCodec::decode(vadj_section, voff, vadj);
-    VarintCodec::decode(eadj_section, eoff, eadj);
-  } else {
-    NopCodec::decode(vadj_section, voff, vadj);
-    NopCodec::decode(eadj_section, eoff, eadj);
-  }
+  copy_section(vadj, header.vadj_offset);
+  copy_section(eadj, header.eadj_offset);
 
   Hypergraph h = Hypergraph::adopt_owned(std::move(voff), std::move(vadj),
                                          std::move(eoff), std::move(eadj));
@@ -274,8 +235,6 @@ Info info(const std::string& path) {
       static_cast<const char*>(file.data()), file.size());
   Info out;
   out.version = header.version;
-  out.codec = (header.flags & kFlagVarintAdjacency) != 0 ? Codec::kVarint
-                                                         : Codec::kNone;
   out.num_vertices = header.num_vertices;
   out.num_edges = header.num_edges;
   out.num_pins = header.num_pins;

@@ -1,10 +1,9 @@
 // Immutable on-disk hypergraph snapshots (DESIGN.md section 13).
 //
 // save/to_bytes serialize a Hypergraph into the mappable layout of
-// snapshot_format.hpp; open() memory-maps a raw-codec snapshot and
-// returns a Hypergraph whose CSR views point straight into the mapping
-// -- load cost is O(header + offset tables), not O(file). Varint
-// snapshots are decoded section-at-a-time into owned storage.
+// snapshot_format.hpp; open() memory-maps a snapshot and returns a
+// Hypergraph whose CSR views point straight into the mapping -- load
+// cost is O(header + offset tables), not O(file).
 //
 // Trust model, same as every loader: bounds (io::check_declared_sizes)
 // and the offset tables are validated before any span is formed, so a
@@ -24,26 +23,23 @@
 
 namespace hp::hyper::snapshot {
 
-enum class Codec : std::uint32_t { kNone = 0, kVarint = 1 };
-
-struct SaveOptions {
-  Codec codec = Codec::kNone;
-};
+/// The adjacency encoding a header declares. Raw is the only one, so
+/// this exists for the end-to-end benchmark (perfbench), which checks
+/// Info::codec; nothing else reads it.
+enum class Codec : std::uint32_t { kNone = 0 };
 
 /// Serialize to the snapshot layout.
-std::string to_bytes(const Hypergraph& h, const SaveOptions& options = {});
+std::string to_bytes(const Hypergraph& h);
 
 /// to_bytes + write to `path`; throws std::runtime_error on I/O failure.
-void save(const Hypergraph& h, const std::string& path,
-          const SaveOptions& options = {});
+void save(const Hypergraph& h, const std::string& path);
 
-/// Open a snapshot file. Raw-codec snapshots are memory-mapped
-/// (zero-copy: the returned Hypergraph keeps the mapping alive and
-/// reports its bytes as mapped_bytes()); varint snapshots decode into
-/// owned storage and release the mapping. Header, bounds, and offset
-/// tables are fully validated; adjacency *content* is not scanned here
-/// (run hyper::validate, as cli::load_dataset does). Throws ParseError
-/// on malformed input, std::runtime_error on I/O failure.
+/// Open a snapshot file, memory-mapped and zero-copy: the returned
+/// Hypergraph keeps the mapping alive and reports its bytes as
+/// mapped_bytes(). Header, bounds, and offset tables are fully
+/// validated; adjacency *content* is not scanned here (run
+/// hyper::validate, as cli::load_dataset does). Throws ParseError on
+/// malformed input, std::runtime_error on I/O failure.
 Hypergraph open(const std::string& path);
 
 /// Parse a snapshot from an in-memory buffer into owned storage, with
@@ -54,7 +50,7 @@ Hypergraph from_bytes(const std::string& bytes);
 /// Header summary without touching the sections.
 struct Info {
   std::uint32_t version = 0;
-  Codec codec = Codec::kNone;
+  Codec codec = Codec::kNone;  ///< perfbench's check; always kNone
   count_t num_vertices = 0;
   count_t num_edges = 0;
   count_t num_pins = 0;

@@ -5,14 +5,13 @@
 //   [ ...zero padding to a 64-byte boundary between sections...  ]
 //   [ voff: u64[(V+1)] ][ vadj ][ eoff: u64[(F+1)] ][ eadj ]
 //
-// The adjacency sections are raw u32 arrays (NopCodec) or delta+LEB128
-// streams (VarintCodec, header flag bit 0). With the raw codec the file
-// sections *are* the in-memory CSR arrays, so snapshot::open can hand
+// The adjacency sections are raw little-endian u32 arrays, so the file
+// sections *are* the in-memory CSR arrays and snapshot::open can hand
 // out spans into the mapping with zero parse cost.
 //
 // Multi-byte fields are little-endian; the endian_tag word makes a
 // big-endian writer detectable instead of silently misread. Readers
-// reject unknown versions and unknown flag bits (no silent forward
+// reject unknown versions and any set flag bit (no silent forward
 // compatibility). Section offsets are 64-byte aligned so mapped u64
 // arrays are naturally (and cache-line) aligned.
 #pragma once
@@ -32,11 +31,6 @@ inline constexpr std::uint32_t kEndianTag = 0x01020304u;
 
 inline constexpr std::uint32_t kFormatVersion = 1;
 
-/// Header flag bit 0: vadj/eadj are VarintCodec streams, decoded
-/// section-at-a-time into owned storage on open.
-inline constexpr std::uint32_t kFlagVarintAdjacency = 1u << 0;
-inline constexpr std::uint32_t kKnownFlags = kFlagVarintAdjacency;
-
 /// Every section starts on a 64-byte boundary (gap zero-padded).
 inline constexpr std::uint64_t kSectionAlignment = 64;
 
@@ -44,7 +38,7 @@ struct Header {
   char magic[8];             // "HPSNAP01"
   std::uint32_t endian_tag;  // kEndianTag
   std::uint32_t version;     // kFormatVersion
-  std::uint32_t flags;       // kFlag* bits; unknown bits are rejected
+  std::uint32_t flags;       // must be 0; any set bit is rejected
   std::uint32_t reserved;    // must be 0
   std::uint64_t num_vertices;
   std::uint64_t num_edges;

@@ -11,9 +11,9 @@
 //
 // Lifecycle: start() binds and spawns the accept thread; request_stop()
 // (also triggered by the protocol `shutdown` command and by SIGINT in
-// hp_serve) closes the listener and half-closes every connection
-// (SHUT_RD), so in-flight requests drain and their replies are still
-// written; wait() joins everything.
+// `hyperproteome serve`) closes the listener and half-closes every
+// connection (SHUT_RD), so in-flight requests drain and their replies
+// are still written; wait() joins everything.
 //
 // Observability: every request runs under a `serve.request` root span
 // (command-specific child spans come from the query layer), and the

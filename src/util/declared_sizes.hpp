@@ -1,6 +1,6 @@
 // Shared declared-entity bounds for every hypergraph loader prologue.
 //
-// Each loader (text, hMETIS, binary, MatrixMarket, snapshot) starts by
+// Each loader (text, hMETIS, MatrixMarket, snapshot) starts by
 // reading counts out of an untrusted header and must reject them before
 // allocating anything -- a 30-byte header or one flipped word must not
 // commit gigabytes of CSR offsets. The bound and the size-equation
@@ -29,12 +29,11 @@ inline constexpr long long kMaxDeclaredEntities = 1LL << 24;
 index_t check_declared_count(long long value, const char* what,
                              const std::string& where);
 
-/// The declared-size sanity equation shared by the binary loaders
-/// (binary, snapshot): both entity counts within kMaxDeclaredEntities
-/// and the pin count no larger than the input itself -- every pin costs
-/// at least one input byte in every supported encoding, so a pin count
-/// exceeding the byte count is always corrupt. Throws ParseError with
-/// `format` as the message prefix.
+/// The declared-size sanity equation of the binary snapshot loader: both
+/// entity counts within kMaxDeclaredEntities and the pin count no larger
+/// than the input itself -- every pin costs at least one input byte, so
+/// a pin count exceeding the byte count is always corrupt. Throws
+/// ParseError with `format` as the message prefix.
 void check_declared_sizes(unsigned long long num_vertices,
                           unsigned long long num_edges,
                           unsigned long long num_pins,

@@ -104,9 +104,12 @@ TEST_F(CliSmokeTest, ReportContextStatsBuildsEachArtifactAtMostOnce) {
   ASSERT_NE(block, std::string::npos);
   // Every per-artifact `context.<slug>.builds | counter | N` row shows 0
   // or 1 builds -- nothing is ever rebuilt within one CLI invocation.
+  // The overlap table shows 0: the report reads Delta_2,F from the
+  // count-only summary pass, so a prefetched table would never be hit.
   std::istringstream lines{text.substr(block)};
   std::string line;
   int rows = 0;
+  bool saw_overlap_table = false;
   while (std::getline(lines, line)) {
     const std::size_t builds_col = line.find(".builds ");
     if (line.rfind("context.", 0) != 0 || builds_col == std::string::npos) {
@@ -119,9 +122,14 @@ TEST_F(CliSmokeTest, ReportContextStatsBuildsEachArtifactAtMostOnce) {
     std::uint64_t builds = 99;
     value >> builds;
     EXPECT_LE(builds, 1u) << line;
+    if (line.rfind("context.overlap_table.builds ", 0) == 0) {
+      EXPECT_EQ(builds, 0u) << line;
+      saw_overlap_table = true;
+    }
     ++rows;
   }
   EXPECT_GT(rows, 10);
+  EXPECT_TRUE(saw_overlap_table);
 }
 
 TEST_F(CliSmokeTest, TraceFlagWritesParseableChromeTrace) {

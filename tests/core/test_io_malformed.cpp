@@ -1,16 +1,22 @@
-// Malformed-input suite for the three hypergraph loaders (text, hMETIS,
-// binary): truncation, out-of-range and integer-wrapping vertex ids,
-// overflowing header counts, duplicate entries, trailing garbage. Every
+// Malformed-input suite for the hypergraph loaders (text, hMETIS, and
+// the binary snapshot): truncation, out-of-range and integer-wrapping
+// vertex ids, overflowing header counts, duplicate entries, trailing
+// garbage. Every
 // case must raise a structured hp::ParseError / hp::InvalidInputError --
 // never crash, allocate unboundedly, or silently misparse. Run under
 // HP_SANITIZE in CI.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <string>
+#include <utility>
 
-#include "core/binary_io.hpp"
 #include "core/hypergraph.hpp"
 #include "core/hypergraph_io.hpp"
+#include "core/snapshot/snapshot.hpp"
+#include "core/snapshot/snapshot_format.hpp"
 
 namespace hp::hyper {
 namespace {
@@ -108,19 +114,55 @@ TEST(HmetisMalformed, EdgeCountMismatch) {
   EXPECT_THROW(from_hmetis("1 4\n1 2\n3 4\n"), ParseError);
 }
 
-// --- binary format -------------------------------------------------------
+// --- binary snapshot format ----------------------------------------------
+// Each corruption is re-sealed (both checksums recomputed), so the
+// structural check under test -- not a digest mismatch -- must catch it.
 
 std::string valid_binary() {
   HypergraphBuilder b{5};
   b.add_edge({0, 1, 2});
   b.add_edge({3, 4});
-  return to_binary(b.build());
+  return snapshot::to_bytes(b.build());
+}
+
+snapshot::Header header_of(const std::string& bytes) {
+  snapshot::Header header;
+  std::memcpy(&header, bytes.data(), sizeof(header));
+  return header;
+}
+
+/// Store `header` with both checksums recomputed over `bytes`; its
+/// section ranges must still lie inside `bytes`.
+std::string reseal(std::string bytes, snapshot::Header header) {
+  std::uint64_t sections = snapshot::kFnvOffsetBasis;
+  for (const auto& [offset, size] :
+       {std::pair{header.voff_offset, header.voff_bytes},
+        std::pair{header.vadj_offset, header.vadj_bytes},
+        std::pair{header.eoff_offset, header.eoff_bytes},
+        std::pair{header.eadj_offset, header.eadj_bytes}}) {
+    sections = snapshot::fnv1a(bytes.data() + offset, size, sections);
+  }
+  header.sections_checksum = sections;
+  header.header_checksum = snapshot::header_checksum(header);
+  std::memcpy(bytes.data(), &header, sizeof(header));
+  return bytes;
+}
+
+template <typename Error>
+void expect_rejected(const std::string& bytes, const std::string& reason) {
+  try {
+    snapshot::from_bytes(bytes);
+    ADD_FAILURE() << "accepted; expected rejection for: " << reason;
+  } catch (const Error& error) {
+    EXPECT_NE(std::string{error.what()}.find(reason), std::string::npos)
+        << error.what();
+  }
 }
 
 TEST(BinaryMalformed, TruncatedAtEveryPrefix) {
   const std::string bytes = valid_binary();
   for (std::size_t len = 0; len < bytes.size(); ++len) {
-    EXPECT_THROW(from_binary(bytes.substr(0, len)), ParseError)
+    EXPECT_THROW(snapshot::from_bytes(bytes.substr(0, len)), ParseError)
         << "prefix length " << len;
   }
 }
@@ -128,68 +170,68 @@ TEST(BinaryMalformed, TruncatedAtEveryPrefix) {
 TEST(BinaryMalformed, BadMagicAndVersion) {
   std::string bytes = valid_binary();
   bytes[0] = 'X';
-  EXPECT_THROW(from_binary(bytes), ParseError);
-  bytes = valid_binary();
-  bytes[4] = 9;  // version
-  EXPECT_THROW(from_binary(bytes), ParseError);
+  expect_rejected<ParseError>(bytes, "bad magic");
+  snapshot::Header header = header_of(valid_binary());
+  header.version = 9;
+  expect_rejected<ParseError>(reseal(valid_binary(), header),
+                              "unsupported version 9");
 }
 
 TEST(BinaryMalformed, OverflowingCounts) {
-  // Blow up each header count field; the size checks must reject the
-  // file before allocating anything proportional to the bogus counts.
-  for (std::size_t field_offset : {8u, 12u, 16u}) {
-    std::string bytes = valid_binary();
-    for (std::size_t i = 0; i < 4; ++i) {
-      bytes[field_offset + i] = static_cast<char>(0xff);
-    }
-    EXPECT_THROW(from_binary(bytes), ParseError)
-        << "field at offset " << field_offset;
+  // Blow up each header count; the size checks must reject the file
+  // before allocating anything proportional to the bogus counts.
+  for (std::uint64_t snapshot::Header::*count :
+       {&snapshot::Header::num_vertices, &snapshot::Header::num_edges,
+        &snapshot::Header::num_pins}) {
+    snapshot::Header header = header_of(valid_binary());
+    header.*count = ~std::uint64_t{0};
+    expect_rejected<ParseError>(reseal(valid_binary(), header), "count");
   }
 }
 
 TEST(BinaryMalformed, VertexCountBombRejected) {
-  // Found by hp_fuzz (seed 410): the vertex count never enters the
-  // size-consistency equation, so a corrupted header word declaring
-  // ~3e9 vertices passed every check and made the builder commit tens
-  // of gigabytes of per-vertex offsets. Such counts must be rejected
-  // before any allocation.
-  std::string bytes = valid_binary();
-  bytes[8] = 0x08;  // num_vertices (u32 LE at offset 8) := 0xb7000008
-  bytes[9] = 0x00;
-  bytes[10] = 0x00;
-  bytes[11] = static_cast<char>(0xb7);
-  EXPECT_THROW(from_binary(bytes), ParseError);
+  // The shape hp_fuzz found in the retired .hpb loader (seed 410): a
+  // header word declaring ~3e9 vertices must be refused by the declared
+  // bound before the loader commits per-vertex offsets.
+  snapshot::Header header = header_of(valid_binary());
+  header.num_vertices = 0xb7000008u;
+  expect_rejected<ParseError>(reseal(valid_binary(), header),
+                              "vertex count 3070230536 out of range");
 }
 
 TEST(BinaryMalformed, MemberOutOfRange) {
+  // The file ends with the last edge's last member (u32 LE): 4 becomes
+  // 0xff000004, which only the structural validation can see.
   std::string bytes = valid_binary();
-  // Last 4 bytes are the final member vertex id (u32 LE).
   bytes[bytes.size() - 1] = static_cast<char>(0xff);
-  EXPECT_THROW(from_binary(bytes), ParseError);
+  expect_rejected<InvalidInputError>(reseal(bytes, header_of(bytes)),
+                                     "member vertex out of range");
 }
 
 TEST(BinaryMalformed, TrailingBytes) {
-  std::string bytes = valid_binary();
-  bytes += '\0';
-  EXPECT_THROW(from_binary(bytes), ParseError);
+  expect_rejected<ParseError>(valid_binary() + '\0', "trailing bytes");
 }
 
 TEST(BinaryMalformed, NonMonotoneOffsets) {
-  // Swap the two interior edge offsets (offsets live right after the
-  // 24-byte header): [0, 3, 5] becomes [3, 0, 5].
+  // Every vertex has degree 1, so the vertex offsets are [0, 1, ..., 5];
+  // swapping entries 1 and 2 keeps both ends and breaks monotonicity.
   std::string bytes = valid_binary();
-  std::string first = bytes.substr(24, 8);
-  std::string second = bytes.substr(32, 8);
-  bytes.replace(24, 8, second);
-  bytes.replace(32, 8, first);
-  EXPECT_THROW(from_binary(bytes), ParseError);
+  const snapshot::Header header = header_of(bytes);
+  const std::size_t first = header.voff_offset + sizeof(std::uint64_t);
+  std::swap_ranges(bytes.begin() + first,
+                   bytes.begin() + first + sizeof(std::uint64_t),
+                   bytes.begin() + first + sizeof(std::uint64_t));
+  expect_rejected<ParseError>(reseal(bytes, header),
+                              "vertex offsets not monotone");
 }
 
 TEST(Malformed, ValidInputsStillParse) {
   // Control for the whole suite.
   EXPECT_NO_THROW(from_text("%hypergraph 4 2\n0 1 2\n2 3\n"));
   EXPECT_NO_THROW(from_hmetis("2 4\n1 2 3\n3 4\n"));
-  EXPECT_NO_THROW(from_binary(valid_binary()));
+  EXPECT_NO_THROW(snapshot::from_bytes(valid_binary()));
+  const std::string bytes = valid_binary();
+  EXPECT_NO_THROW(snapshot::from_bytes(reseal(bytes, header_of(bytes))));
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -21,27 +22,43 @@
 namespace hp::hyper {
 namespace {
 
-std::string save_temp(const Hypergraph& h, const std::string& name,
-                      snapshot::SaveOptions options = {}) {
+std::string save_temp(const Hypergraph& h, const std::string& name) {
   const std::string path = ::testing::TempDir() + "/" + name;
-  snapshot::save(h, path, options);
+  snapshot::save(h, path);
   return path;
 }
 
-snapshot::SaveOptions varint_options() {
-  snapshot::SaveOptions o;
-  o.codec = snapshot::Codec::kVarint;
-  return o;
+void write_file(const std::string& path, const std::string& bytes) {
+  std::ofstream out{path, std::ios::binary};
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-TEST(SnapshotTest, RoundTripBothCodecs) {
-  Rng rng{20040426};
-  for (int trial = 0; trial < 8; ++trial) {
-    const Hypergraph h = testing::random_hypergraph(rng, 30, 20, 6);
-    EXPECT_EQ(snapshot::from_bytes(snapshot::to_bytes(h)), h);
-    EXPECT_EQ(snapshot::from_bytes(snapshot::to_bytes(h, varint_options())),
-              h);
-  }
+TEST(SnapshotTest, SetFlagBitIsRejected) {
+  // Bit 0 once marked varint-encoded adjacency. With the header checksum
+  // made consistent, the flag check itself must refuse the file, and say
+  // how to get a readable one.
+  std::string bytes = snapshot::to_bytes(testing::toy_hypergraph());
+  snapshot::Header header;
+  std::memcpy(&header, bytes.data(), sizeof(header));
+  header.flags |= 1u;
+  header.header_checksum = snapshot::header_checksum(header);
+  std::memcpy(bytes.data(), &header, sizeof(header));
+
+  const auto expect_rejected = [](const auto& load) {
+    try {
+      load();
+      ADD_FAILURE() << "a snapshot with flag bit 0 set was accepted";
+    } catch (const ParseError& error) {
+      EXPECT_NE(std::string{error.what()}.find("snapshot convert"),
+                std::string::npos)
+          << error.what();
+    }
+  };
+  expect_rejected([&] { snapshot::from_bytes(bytes); });
+  const std::string path = ::testing::TempDir() + "/hp_snap_flag.hps";
+  write_file(path, bytes);
+  expect_rejected([&] { snapshot::open(path); });
+  std::remove(path.c_str());
 }
 
 TEST(SnapshotTest, RoundTripEmptyAndEdgeless) {
@@ -51,9 +68,6 @@ TEST(SnapshotTest, RoundTripEmptyAndEdgeless) {
   // Isolated vertices only: offsets exist, adjacency sections are empty.
   const Hypergraph isolated = HypergraphBuilder{5}.build();
   EXPECT_EQ(snapshot::from_bytes(snapshot::to_bytes(isolated)), isolated);
-  EXPECT_EQ(
-      snapshot::from_bytes(snapshot::to_bytes(isolated, varint_options())),
-      isolated);
 }
 
 TEST(SnapshotTest, OpenIsZeroCopyForRawCodec) {
@@ -68,25 +82,6 @@ TEST(SnapshotTest, OpenIsZeroCopyForRawCodec) {
   EXPECT_FALSE(h.is_mapped());
   validate(mapped);
   std::remove(path.c_str());
-}
-
-TEST(SnapshotTest, OpenDecodesVarintIntoOwnedStorage) {
-  const Hypergraph h = testing::toy_hypergraph();
-  const std::string path = save_temp(h, "hp_snap_varint.hps", varint_options());
-
-  const Hypergraph opened = snapshot::open(path);
-  EXPECT_FALSE(opened.is_mapped());
-  EXPECT_EQ(opened.mapped_bytes(), 0u);
-  EXPECT_GT(opened.owned_bytes(), 0u);
-  EXPECT_EQ(opened, h);
-  std::remove(path.c_str());
-}
-
-TEST(SnapshotTest, VarintFilesAreSmaller) {
-  Rng rng{7};
-  const Hypergraph h = testing::random_hypergraph(rng, 500, 200, 8);
-  EXPECT_LT(snapshot::to_bytes(h, varint_options()).size(),
-            snapshot::to_bytes(h).size());
 }
 
 TEST(SnapshotTest, StructuralEqualityAcrossStorageKinds) {
@@ -116,10 +111,10 @@ TEST(SnapshotTest, DefaultVersusBuiltEmptyCompareEqual) {
 
 TEST(SnapshotTest, InfoReportsHeaderFields) {
   const Hypergraph h = testing::toy_hypergraph();
-  const std::string path = save_temp(h, "hp_snap_info.hps", varint_options());
+  const std::string path = save_temp(h, "hp_snap_info.hps");
   const snapshot::Info info = snapshot::info(path);
   EXPECT_EQ(info.version, snapshot::kFormatVersion);
-  EXPECT_EQ(info.codec, snapshot::Codec::kVarint);
+  EXPECT_EQ(info.codec, snapshot::Codec::kNone);
   EXPECT_EQ(info.num_vertices, h.num_vertices());
   EXPECT_EQ(info.num_edges, h.num_edges());
   EXPECT_EQ(info.num_pins, h.num_pins());
@@ -136,10 +131,7 @@ TEST(SnapshotTest, VerifyAcceptsIntactAndRejectsCorrupt) {
   std::string bytes = snapshot::to_bytes(h);
   bytes[bytes.size() - 1] ^= 0x40;
   const std::string bad = ::testing::TempDir() + "/hp_snap_verify_bad.hps";
-  {
-    std::ofstream out{bad, std::ios::binary};
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  }
+  write_file(bad, bytes);
   EXPECT_THROW(snapshot::verify(bad), ParseError);
   std::remove(path.c_str());
   std::remove(bad.c_str());
@@ -159,24 +151,20 @@ TEST(SnapshotTest, EveryHeaderByteFlipIsRejected) {
 }
 
 TEST(SnapshotTest, EveryBodyByteFlipParsesOrThrows) {
-  // The oracle contract over the full file, both codecs: a one-byte
-  // flip either throws ParseError or (padding bytes, which no checksum
-  // covers) yields the original hypergraph. Anything else -- a crash,
-  // another exception type, a silently different graph -- fails.
+  // The oracle contract over the full file: a one-byte flip either
+  // throws ParseError or (padding bytes, which no checksum covers) yields
+  // the original hypergraph. Anything else -- a crash, another exception
+  // type, a silently different graph -- fails.
   const Hypergraph h = testing::toy_hypergraph();
-  for (const bool varint : {false, true}) {
-    const std::string bytes =
-        varint ? snapshot::to_bytes(h, varint_options())
-               : snapshot::to_bytes(h);
-    for (std::size_t i = sizeof(snapshot::Header); i < bytes.size(); ++i) {
-      std::string corrupt = bytes;
-      corrupt[i] ^= 0x20;
-      try {
-        EXPECT_EQ(snapshot::from_bytes(corrupt), h)
-            << "non-padding byte " << i << " flip went undetected";
-      } catch (const ParseError&) {
-      } catch (const InvalidInputError&) {
-      }
+  const std::string bytes = snapshot::to_bytes(h);
+  for (std::size_t i = sizeof(snapshot::Header); i < bytes.size(); ++i) {
+    std::string corrupt = bytes;
+    corrupt[i] ^= 0x20;
+    try {
+      EXPECT_EQ(snapshot::from_bytes(corrupt), h)
+          << "non-padding byte " << i << " flip went undetected";
+    } catch (const ParseError&) {
+    } catch (const InvalidInputError&) {
     }
   }
 }

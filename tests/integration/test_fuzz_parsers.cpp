@@ -7,8 +7,8 @@
 
 #include "bio/annotations.hpp"
 #include "bio/complex_io.hpp"
-#include "core/binary_io.hpp"
 #include "core/hypergraph_io.hpp"
+#include "core/snapshot/snapshot.hpp"
 #include "mm/matrix_market.hpp"
 #include "util/csv.hpp"
 #include "util/rng.hpp"
@@ -110,7 +110,7 @@ TEST(FuzzParsers, BinaryHypergraph) {
   hyper::HypergraphBuilder b{5};
   b.add_edge({0, 1, 2});
   b.add_edge({3, 4});
-  const std::string valid = hyper::to_binary(b.build());
+  const std::string valid = hyper::snapshot::to_bytes(b.build());
   Rng rng{31};
   for (int trial = 0; trial < 200; ++trial) {
     std::string input = valid;
@@ -130,7 +130,7 @@ TEST(FuzzParsers, BinaryHypergraph) {
       }
     }
     try {
-      hyper::from_binary(input);
+      hyper::snapshot::from_bytes(input);
     } catch (const ParseError&) {
     } catch (const InvalidInputError&) {
     }
