@@ -4,6 +4,7 @@
 #include "core/snapshot/snapshot.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <cstring>
@@ -58,6 +59,24 @@ TEST(SnapshotTest, SetFlagBitIsRejected) {
   const std::string path = ::testing::TempDir() + "/hp_snap_flag.hps";
   write_file(path, bytes);
   expect_rejected([&] { snapshot::open(path); });
+  std::remove(path.c_str());
+}
+
+TEST(SnapshotTest, RoundTripBothCodecs) {
+  // The two ways back from the one raw layout: decoding bytes into owned
+  // storage, and mapping the saved file zero-copy. The pid in the name
+  // keeps a parallel run of the whole binary off this file.
+  Rng rng{20040426};
+  const std::string path = ::testing::TempDir() + "/hp_snap_both_" +
+                           std::to_string(::getpid()) + ".hps";
+  for (int trial = 0; trial < 8; ++trial) {
+    const Hypergraph h = testing::random_hypergraph(rng, 30, 20, 6);
+    EXPECT_EQ(snapshot::from_bytes(snapshot::to_bytes(h)), h);
+    snapshot::save(h, path);
+    const Hypergraph mapped = snapshot::open(path);
+    EXPECT_TRUE(mapped.is_mapped());
+    EXPECT_EQ(mapped, h);
+  }
   std::remove(path.c_str());
 }
 
