@@ -7,7 +7,7 @@
 //               underlying module directly on every access.
 // The speedup column is rebuild / cached; the acceptance bar for this
 // layer is >= 10x on every artifact (in practice it is orders of
-// magnitude, since a cached access is a once_flag check).
+// magnitude, since a cached access is one atomic load).
 //
 // Instances: the Cellzome surrogate plus synthetic row-net hypergraphs
 // at two scales; the larger scale is skipped with --quick.
@@ -20,15 +20,13 @@
 
 #include "bio/cellzome_synth.hpp"
 #include "core/context/analysis_context.hpp"
-#include "core/dual.hpp"
 #include "core/kcore.hpp"
 #include "core/overlap.hpp"
-#include "core/projection.hpp"
-#include "core/reduce.hpp"
 #include "core/stats.hpp"
 #include "core/traversal.hpp"
 #include "mm/mm_synth.hpp"
 #include "mm/mm_to_hypergraph.hpp"
+#include "par/thread_pool.hpp"
 #include "util/args.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
@@ -51,26 +49,6 @@ struct ArtifactCase {
 };
 
 const ArtifactCase kCases[] = {
-    {"dual", [](const AnalysisContext& c) { return c.dual().num_pins(); },
-     [](const Hypergraph& h) { return hp::hyper::dual(h).num_pins(); }},
-    {"clique projection",
-     [](const AnalysisContext& c) { return c.clique_projection().num_edges(); },
-     [](const Hypergraph& h) {
-       return hp::hyper::clique_expansion(h).num_edges();
-     }},
-    {"star projection",
-     [](const AnalysisContext& c) { return c.star_projection().num_edges(); },
-     [](const Hypergraph& h) {
-       return hp::hyper::star_expansion(h, hp::hyper::default_baits(h))
-           .num_edges();
-     }},
-    {"intersection projection",
-     [](const AnalysisContext& c) {
-       return c.intersection_projection().num_edges();
-     },
-     [](const Hypergraph& h) {
-       return hp::hyper::intersection_graph(h, nullptr).num_edges();
-     }},
     {"components",
      [](const AnalysisContext& c) {
        return static_cast<std::uint64_t>(c.components().count);
@@ -104,11 +82,6 @@ const ArtifactCase kCases[] = {
      [](const Hypergraph& h) {
        return static_cast<std::uint64_t>(
            hp::hyper::OverlapTable{h}.max_degree2());
-     }},
-    {"reduced hypergraph",
-     [](const AnalysisContext& c) { return c.reduced().hypergraph.num_pins(); },
-     [](const Hypergraph& h) {
-       return hp::hyper::reduce(h).hypergraph.num_pins();
      }},
     {"core decomposition",
      [](const AnalysisContext& c) {
@@ -206,7 +179,10 @@ void print_instance(const InstanceTiming& inst) {
 void write_json(const std::string& path,
                 const std::vector<InstanceTiming>& instances) {
   std::ofstream out{path};
-  out << "{\n  \"benchmark\": \"bench_micro_context\",\n  \"instances\": [\n";
+  out << "{\n  \"benchmark\": \"bench_micro_context\",\n"
+      << "  \"hardware_threads\": " << hp::par::hardware_threads() << ",\n"
+      << "  \"pool_lanes\": " << hp::par::ThreadPool::global().thread_count()
+      << ",\n  \"instances\": [\n";
   for (std::size_t i = 0; i < instances.size(); ++i) {
     const InstanceTiming& inst = instances[i];
     out << "    {\n      \"name\": \"" << inst.name << "\",\n"

@@ -25,11 +25,14 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <unistd.h>
 
 #include "bio/cellzome_synth.hpp"
 #include "bio/complex_io.hpp"
@@ -44,6 +47,22 @@ namespace {
 
 using hp::serve::proto::Request;
 using hp::serve::proto::Response;
+
+/// A directory under the system temp path, named with the pid; removed
+/// with its contents when the bench exits.
+struct ScratchDir {
+  std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("bench_micro_serve_" + std::to_string(::getpid())))
+          .string();
+  ScratchDir() { std::filesystem::create_directories(path); }
+  ~ScratchDir() {
+    std::error_code ignored;
+    std::filesystem::remove_all(path, ignored);
+  }
+  ScratchDir(const ScratchDir&) = delete;
+  ScratchDir& operator=(const ScratchDir&) = delete;
+};
 
 double quantile(std::vector<double> sorted, double q) {
   if (sorted.empty()) return 0.0;
@@ -151,8 +170,11 @@ int main(int argc, char** argv) {
 
   std::printf("=== analysis server: context cache vs one-shot CLI ===\n");
 
-  // The scaled surrogate, saved once for every workload to load.
-  const std::string dataset = "bench_serve_tmp.hyper";
+  // The scaled surrogate, saved once for every workload to load, and
+  // the server's socket live in a private temp directory that is
+  // removed on every exit path.
+  const ScratchDir scratch;
+  const std::string dataset = scratch.path + "/surrogate.hyper";
   {
     hp::bio::CellzomeParams params =
         hp::bio::scaled_cellzome_params(proteins);
@@ -180,7 +202,7 @@ int main(int argc, char** argv) {
 
   // Warm server: in-process handle() against the hot context cache.
   hp::serve::ServerOptions options;
-  options.endpoint = hp::serve::parse_endpoint("bench_serve_tmp.sock");
+  options.endpoint = hp::serve::parse_endpoint(scratch.path + "/serve.sock");
   hp::serve::Server server{std::move(options)};
   Request warm_request;
   warm_request.command = "stats";
@@ -262,7 +284,6 @@ int main(int argc, char** argv) {
     std::printf("wrote %s\n", json_path.c_str());
   }
 
-  std::remove(dataset.c_str());
   if (loop.errors != 0) return 1;
   return 0;
 }

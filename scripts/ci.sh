@@ -12,7 +12,9 @@ root="$(cd "$(dirname "$0")/.." && pwd)"
 echo "=== tier-1: release build + ctest (default HP_THREADS) ==="
 cmake -B "${prefix}" -S "${root}"
 cmake --build "${prefix}" -j
-ctest --test-dir "${prefix}" --output-on-failure
+# Parallel, so a test that shares a file with another process fails
+# here rather than only on a developer's `ctest -j`.
+ctest --test-dir "${prefix}" --output-on-failure -j "$(nproc)"
 
 echo "=== tier-1: ctest again with the pool forced serial (HP_THREADS=1) ==="
 # The determinism contract (DESIGN.md section 11): every parallel
@@ -357,7 +359,7 @@ cmake --build "${prefix}-tsan" -j
 # deques, the parallel kcore/BFS/fuzz paths, and the prefetch fan-out.
 HP_THREADS=4 "${prefix}-tsan/tests/unit_tests" --gtest_filter='*Par*:*par*:TaskGroup*:ThreadPool*:LaneLimit*:Oversubscription*:Determinism*:ParallelKCore*:KCoreEquivalence*:FrontierPeel*:Seeds/FrontierPeel*:Invariants*:Mutate*:ServeTest*:ContextPool*:DatasetNames*:NameTable*'
 # The fuzz smoke again runs the 1000-sequence mutation differential,
-# here with a real multi-worker pool under the rebuild tier's builds.
+# here with a real multi-worker pool under the oracles' parallel builds.
 HP_THREADS=4 "${prefix}-tsan/src/cli/hp_fuzz" --seed-range 0:1000 \
   --corpus "${prefix}-tsan/fuzz-corpus"
 

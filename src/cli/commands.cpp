@@ -412,8 +412,7 @@ int cmd_mutate(const Args& args, std::ostream& out) {
       << "  incremental updates  : " << stats.incremental_updates << '\n'
       << "  component rebuilds   : " << stats.component_rebuilds << '\n'
       << "  core repairs         : " << stats.core_repairs << '\n'
-      << "  core repair fallbacks: " << stats.core_repair_fallbacks << '\n'
-      << "  slot invalidations   : " << stats.slot_invalidations << '\n';
+      << "  core repair fallbacks: " << stats.core_repair_fallbacks << '\n';
 
   if (args.get_bool("peel-stats", false)) {
     out << "\npeel substrate counters:\n"

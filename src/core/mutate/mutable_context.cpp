@@ -175,8 +175,6 @@ void MutableAnalysisContext::apply() {
     ++cores_counters_.incremental_updates;
     ++apply_stats_.incremental_updates;
   }
-  // The rebuild tier is refreshed lazily: analysis() compares versions
-  // and rebases (per-slot invalidation) only when actually queried.
 }
 
 const std::vector<index_t>& MutableAnalysisContext::vertex_degrees() {
@@ -495,21 +493,6 @@ const MutableHypergraph::Snapshot& MutableAnalysisContext::snapshot() {
   return graph_.snapshot();
 }
 
-AnalysisContext& MutableAnalysisContext::analysis() {
-  apply();
-  const MutableHypergraph::Snapshot& snap = graph_.snapshot();
-  if (!analysis_) {
-    analysis_ = std::make_unique<AnalysisContext>(snap.hypergraph);
-    analysis_version_ = graph_.version();
-  } else if (analysis_version_ != graph_.version()) {
-    const index_t reset_count = analysis_->rebase(snap.hypergraph);
-    apply_stats_.slot_invalidations += reset_count;
-    obs::counter("context.apply.slot_invalidations").add(reset_count);
-    analysis_version_ = graph_.version();
-  }
-  return *analysis_;
-}
-
 ContextStats MutableAnalysisContext::stats() {
   ContextStats out;
   const auto row = [](const char* name, const CheapCounters& c,
@@ -541,18 +524,8 @@ ContextStats MutableAnalysisContext::stats() {
            cores_.level_vertices.size() + cores_.level_edges.size()) *
                   sizeof(index_t) +
               cores_.in_reduced.size()));
-  // The unpacked mutable representation always lives on the heap; only
-  // the inner analysis context (rebased onto materialized snapshots)
-  // can be carrying mapped pages.
+  // The unpacked mutable representation always lives on the heap.
   out.hypergraph_owned_bytes = graph_.storage_bytes();
-  if (analysis_) {
-    ContextStats inner = analysis_->stats();
-    for (ArtifactStats& a : inner.artifacts) {
-      out.artifacts.push_back(std::move(a));
-    }
-    out.hypergraph_owned_bytes += inner.hypergraph_owned_bytes;
-    out.hypergraph_mapped_bytes += inner.hypergraph_mapped_bytes;
-  }
   return out;
 }
 

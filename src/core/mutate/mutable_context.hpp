@@ -1,23 +1,17 @@
 // MutableAnalysisContext: the incremental analysis pipeline.
 //
-// Owns a MutableHypergraph plus two tiers of derived artifacts:
-//
-//   Cheap tier (maintained in *stable* id space, incrementally):
-//     - vertex degrees            O(|dirty|) per apply
-//     - vertex degree histogram   O(|dirty|), moves old bucket -> new
-//     - edge size histogram       O(|dirty|)
-//     - connected components      union-find; pure insertion unions in
-//                                 near-O(1), any deletion falls back to
-//                                 a rebuild at the next query
-//     - core decomposition        bounded repair: re-peel only the
-//                                 components reachable from the dirty
-//                                 region (see cores() below)
-//
-//   Rebuild tier (full AnalysisContext over the materialized snapshot):
-//     dual, projections, overlaps, reduced, summary, paths keep their
-//     rebuild semantics, but via AnalysisContext::rebase() they are
-//     reset per-slot -- and only when mutations actually happened since
-//     the slots were built.
+// Owns a MutableHypergraph plus its derived artifacts, maintained in
+// *stable* id space, incrementally:
+//   - vertex degrees            O(|dirty|) per apply
+//   - vertex degree histogram   O(|dirty|), moves old bucket -> new
+//   - edge size histogram       O(|dirty|)
+//   - connected components      union-find; pure insertion unions in
+//                               near-O(1), any deletion falls back to
+//                               a rebuild at the next query
+//   - core decomposition        bounded repair: re-peel only the
+//                               components reachable from the dirty
+//                               region (see cores() below)
+// Anything else is computed from the materialized snapshot().
 //
 // Correctness of the bounded core repair rests on peeling being
 // component-local: overlaps and containment require shared vertices, so
@@ -34,18 +28,15 @@
 // Threading: the whole pipeline is single-writer by contract -- one
 // thread mutates and queries. Artifacts handed out by reference are
 // invalidated by the next apply()/mutation, exactly like iterators of a
-// std::vector under insert. Parallelism still happens *inside* builds
-// (the rebuild tier's prefetch, path summaries), which is safe because
-// apply() never runs concurrently with them. The core peel is the
-// exception: cores() runs it under par::LaneLimit{1}, so an edit's
-// latency does not hang on the pool's fork-joins.
+// std::vector under insert. The core peel runs under
+// par::LaneLimit{1}, so an edit's latency does not hang on the pool's
+// fork-joins.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "core/context/analysis_context.hpp"
+#include "core/context/context_stats.hpp"
 #include "core/kcore.hpp"
 #include "core/mutate/mutable_hypergraph.hpp"
 #include "core/peel/peel_stats.hpp"
@@ -83,13 +74,12 @@ class MutableAnalysisContext {
   MutableHypergraph& graph() { return graph_; }
   const MutableHypergraph& graph() const { return graph_; }
 
-  /// Absorb pending mutations into every *built* cheap-tier artifact
-  /// and mark the rebuild tier stale. No-op when the graph is clean.
+  /// Absorb pending mutations into every *built* artifact. No-op when
+  /// the graph is clean.
   void apply();
 
-  // --- cheap tier (stable id space; tombstones report degree 0 and
-  // --- form singleton components, matching their appearance in the
-  // --- materialized snapshot) ---------------------------------------
+  // Stable id space: tombstones report degree 0 and form singleton
+  // components, matching their appearance in the materialized snapshot.
   const std::vector<index_t>& vertex_degrees();
   const Histogram& vertex_degree_histogram();
   const Histogram& edge_size_histogram();
@@ -106,12 +96,8 @@ class MutableAnalysisContext {
   /// repairs so far.
   const PeelStats& core_peel_stats() const { return peel_stats_; }
 
-  // --- rebuild tier --------------------------------------------------
   /// Materialized snapshot of the current version (cached).
   const MutableHypergraph::Snapshot& snapshot();
-  /// Full AnalysisContext over the snapshot; rebased lazily (per-slot
-  /// invalidation) when mutations happened since the last call.
-  AnalysisContext& analysis();
 
   /// Fraction of live vertices the seeded region may reach before a
   /// bounded repair escalates to a full re-peel (default 0.5).
@@ -123,15 +109,13 @@ class MutableAnalysisContext {
     count_t applies = 0;             ///< non-empty apply() calls
     count_t mutations = 0;           ///< graph mutations absorbed
     count_t incremental_updates = 0; ///< artifact-level in-place updates
-    count_t slot_invalidations = 0;  ///< rebuild-tier slots reset
     count_t component_rebuilds = 0;  ///< union-find deletion fallbacks
     count_t core_repairs = 0;        ///< bounded subcore re-peels
     count_t core_repair_fallbacks = 0;
   };
   const ApplyStats& apply_stats() const { return apply_stats_; }
 
-  /// Cheap-tier rows (with incremental-update counts) followed by the
-  /// rebuild tier's per-slot rows when the inner context exists.
+  /// One row per artifact, with its incremental-update count.
   ContextStats stats();
 
  private:
@@ -185,10 +169,6 @@ class MutableAnalysisContext {
   std::vector<index_t> vertex_local_;  // stable -> local repair id
   double repair_threshold_ = 0.5;
   PeelStats peel_stats_;
-
-  // rebuild tier
-  std::unique_ptr<AnalysisContext> analysis_;
-  std::uint64_t analysis_version_ = 0;
 
   ApplyStats apply_stats_;
 };

@@ -102,8 +102,8 @@ void ContextPool::release(const std::string& key) {
   Entry* entry = find_locked(key);
   if (entry == nullptr) return;
   --entry->leases;
-  // Re-charge: the query may have built artifacts (or rebased mapped
-  // storage), so the footprint at release differs from at acquire.
+  // Re-charge: the query may have built artifacts, so the footprint at
+  // release differs from at acquire.
   entry->charged_bytes = session_charge_bytes(*entry->session);
   if (entry->leases == 0) evict_locked();
 }

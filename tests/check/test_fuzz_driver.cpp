@@ -12,6 +12,7 @@
 #include <fstream>
 
 #include "core/hypergraph_io.hpp"
+#include "../temp_dir.hpp"
 
 #ifndef HP_TEST_CORPUS_DIR
 #error "HP_TEST_CORPUS_DIR must point at tests/corpus"
@@ -59,7 +60,7 @@ TEST(FuzzDriver, ReproducerRoundTripsThroughTextLoader) {
   const Hypergraph h = b.build();
 
   const std::string dir =
-      (fs::path(::testing::TempDir()) / "hp_fuzz_corpus").string();
+      (fs::path(hp::test::temp_dir()) / "hp_fuzz_corpus").string();
   const std::string path = write_reproducer(
       dir, 77, h, {{"core_agreement", "synthetic failure for the test"}});
 
@@ -80,7 +81,7 @@ TEST(FuzzDriver, ReproducerRoundTripsThroughTextLoader) {
 
 TEST(FuzzDriver, ReplayEmptyDirectoryIsCleanNoop) {
   const FuzzSummary summary = replay_corpus(
-      (fs::path(::testing::TempDir()) / "no_such_corpus_dir").string());
+      (fs::path(hp::test::temp_dir()) / "no_such_corpus_dir").string());
   EXPECT_EQ(summary.cases, 0);
   EXPECT_TRUE(summary.ok());
 }
@@ -98,7 +99,7 @@ TEST(FuzzDriver, CheckedInCorpusReplaysGreen) {
 
 TEST(FuzzDriver, ReplayFlagsUnparsableCorpusFile) {
   const std::string dir =
-      (fs::path(::testing::TempDir()) / "hp_fuzz_bad_corpus").string();
+      (fs::path(hp::test::temp_dir()) / "hp_fuzz_bad_corpus").string();
   fs::create_directories(dir);
   {
     std::ofstream out(fs::path(dir) / "broken.hyper");

@@ -4,11 +4,13 @@
 
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 
 #include "cli/commands.hpp"
 #include "obs/json_check.hpp"
 #include "obs/trace.hpp"
+#include "../temp_dir.hpp"
 
 namespace hp::cli {
 namespace {
@@ -29,7 +31,7 @@ class CliSmokeTest : public ::testing::Test {
                            ->current_test_info()
                            ->name();
     table_path_ =
-        ::testing::TempDir() + "/cli_smoke_complexes_" + test + ".tsv";
+        hp::test::temp_dir() + "/cli_smoke_complexes_" + test + ".tsv";
     std::ofstream out(table_path_);
     out << "Arp23\tARP2\tARP3\tARC15\n"
         << "SAGA\tGCN5\tADA2\tSPT7\tARP2\n"
@@ -104,12 +106,12 @@ TEST_F(CliSmokeTest, ReportContextStatsBuildsEachArtifactAtMostOnce) {
   ASSERT_NE(block, std::string::npos);
   // Every per-artifact `context.<slug>.builds | counter | N` row shows 0
   // or 1 builds -- nothing is ever rebuilt within one CLI invocation.
-  // The overlap table shows 0: the report reads Delta_2,F from the
-  // count-only summary pass, so a prefetched table would never be hit.
+  // The report builds exactly the slots it reads. The overlap table
+  // shows 0: the report reads Delta_2,F from the count-only summary
+  // pass, so a prefetched table would never be hit.
   std::istringstream lines{text.substr(block)};
   std::string line;
-  int rows = 0;
-  bool saw_overlap_table = false;
+  std::map<std::string, std::uint64_t> builds_by_slot;
   while (std::getline(lines, line)) {
     const std::size_t builds_col = line.find(".builds ");
     if (line.rfind("context.", 0) != 0 || builds_col == std::string::npos) {
@@ -122,18 +124,18 @@ TEST_F(CliSmokeTest, ReportContextStatsBuildsEachArtifactAtMostOnce) {
     std::uint64_t builds = 99;
     value >> builds;
     EXPECT_LE(builds, 1u) << line;
-    if (line.rfind("context.overlap_table.builds ", 0) == 0) {
-      EXPECT_EQ(builds, 0u) << line;
-      saw_overlap_table = true;
-    }
-    ++rows;
+    builds_by_slot[line.substr(8, builds_col - 8)] = builds;
   }
-  EXPECT_GT(rows, 10);
-  EXPECT_TRUE(saw_overlap_table);
+  const std::map<std::string, std::uint64_t> expected{
+      {"components", 1},          {"vertex_degree_histogram", 1},
+      {"edge_size_histogram", 1}, {"overlap_table", 0},
+      {"core_decomposition", 1},  {"summary", 1},
+      {"path_summary", 1}};
+  EXPECT_EQ(builds_by_slot, expected);
 }
 
 TEST_F(CliSmokeTest, TraceFlagWritesParseableChromeTrace) {
-  const std::string trace_path = ::testing::TempDir() + "/cli_smoke_trace.json";
+  const std::string trace_path = hp::test::temp_dir() + "/cli_smoke_trace.json";
   std::ostringstream out;
   const int rc = run(
       make_args({"report", table_path_.c_str(), "--trace",
@@ -164,7 +166,7 @@ TEST_F(CliSmokeTest, TraceFlagWritesParseableChromeTrace) {
 
 TEST_F(CliSmokeTest, MetricsFlagWritesRegistryJson) {
   const std::string metrics_path =
-      ::testing::TempDir() + "/cli_smoke_metrics.json";
+      hp::test::temp_dir() + "/cli_smoke_metrics.json";
   std::ostringstream out;
   const int rc = run(
       make_args({"core", table_path_.c_str(), "--metrics",
@@ -192,7 +194,7 @@ TEST_F(CliSmokeTest, MetricsFlagWritesRegistryJson) {
 
 TEST_F(CliSmokeTest, TracedCommandYieldsSingleConnectedSpanTree) {
   const std::string trace_path =
-      ::testing::TempDir() + "/cli_smoke_tree.json";
+      hp::test::temp_dir() + "/cli_smoke_tree.json";
   std::ostringstream out;
   const int rc = run(
       make_args({"report", table_path_.c_str(), "--trace",
@@ -223,9 +225,9 @@ TEST_F(CliSmokeTest, TracedCommandYieldsSingleConnectedSpanTree) {
 // a trace of a failing run is precisely when you want one.
 TEST_F(CliSmokeTest, FailingCommandStillFlushesTraceAndMetrics) {
   const std::string trace_path =
-      ::testing::TempDir() + "/cli_smoke_err_trace.json";
+      hp::test::temp_dir() + "/cli_smoke_err_trace.json";
   const std::string metrics_path =
-      ::testing::TempDir() + "/cli_smoke_err_metrics.json";
+      hp::test::temp_dir() + "/cli_smoke_err_metrics.json";
   std::ostringstream out;
   const int rc = run(
       make_args({"stats", "/nonexistent/input.tsv", "--trace",
@@ -260,7 +262,7 @@ TEST_F(CliSmokeTest, FailingCommandStillFlushesTraceAndMetrics) {
 
 TEST_F(CliSmokeTest, ProfileFlagWritesFoldedFile) {
   const std::string profile_path =
-      ::testing::TempDir() + "/cli_smoke_profile.folded";
+      hp::test::temp_dir() + "/cli_smoke_profile.folded";
   std::ostringstream out;
   const int rc = run(
       make_args({"report", table_path_.c_str(), "--profile",
@@ -285,8 +287,8 @@ TEST_F(CliSmokeTest, BadMetricsIntervalIsAUsageError) {
 }
 
 TEST_F(CliSmokeTest, MetricsIntervalWritesSeriesSinks) {
-  const std::string jsonl = ::testing::TempDir() + "/cli_smoke_series.jsonl";
-  const std::string prom = ::testing::TempDir() + "/cli_smoke_series.prom";
+  const std::string jsonl = hp::test::temp_dir() + "/cli_smoke_series.jsonl";
+  const std::string prom = hp::test::temp_dir() + "/cli_smoke_series.prom";
   std::remove(jsonl.c_str());
   std::ostringstream out;
   const int rc = run(

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "core/hypergraph_io.hpp"
+#include "../temp_dir.hpp"
 
 namespace hp::cli {
 namespace {
@@ -21,7 +22,7 @@ Args make_args(std::initializer_list<const char*> argv) {
 class CliTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir();
+    dir_ = hp::test::temp_dir();
     // One file per test: ctest runs tests as parallel processes, and a
     // shared name would let one test's TearDown delete another's input.
     const char* test = testing::UnitTest::GetInstance()

@@ -17,6 +17,7 @@
 #include "core/pajek.hpp"
 #include "core/snapshot/snapshot.hpp"
 #include "par/thread_pool.hpp"
+#include "../temp_dir.hpp"
 
 namespace hp::cli {
 namespace {
@@ -56,7 +57,7 @@ bio::ComplexDataset spelled_out(const hyper::Hypergraph& h) {
 class DatasetNames : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir();
+    dir_ = hp::test::temp_dir();
     // 13 vertices (so "v12" exists and "v13" does not), vertex 12
     // isolated, 4 edges.
     hyper::HypergraphBuilder b{13};

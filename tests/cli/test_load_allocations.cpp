@@ -16,6 +16,7 @@
 #include "cli/commands.hpp"
 #include "core/hypergraph.hpp"
 #include "core/snapshot/snapshot.hpp"
+#include "../temp_dir.hpp"
 
 namespace {
 std::atomic<bool> g_counting{false};
@@ -43,7 +44,7 @@ std::string write_snapshot(index_t n) {
   hyper::HypergraphBuilder b{n};
   for (index_t v = 0; v + 1 < n; ++v) b.add_edge({v, v + 1});
   const std::string path =
-      ::testing::TempDir() + "/load_alloc_" + std::to_string(n) + ".hps";
+      hp::test::temp_dir() + "/load_alloc_" + std::to_string(n) + ".hps";
   hyper::snapshot::save(b.build(), path);
   return path;
 }

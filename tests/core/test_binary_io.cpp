@@ -11,12 +11,13 @@
 #include "core/snapshot/snapshot.hpp"
 #include "core/snapshot/snapshot_format.hpp"
 #include "test_helpers.hpp"
+#include "../temp_dir.hpp"
 
 namespace hp::hyper {
 namespace {
 
 Hypergraph through_file(const Hypergraph& h, const std::string& name) {
-  const std::string path = ::testing::TempDir() + "/" + name;
+  const std::string path = hp::test::temp_dir() + "/" + name;
   snapshot::save(h, path);
   Hypergraph back = snapshot::open(path);
   std::remove(path.c_str());  // the mapping outlives the name
@@ -76,7 +77,7 @@ TEST(BinaryIo, RejectsCorruptedInputs) {
   const std::string good = snapshot::to_bytes(testing::toy_hypergraph());
   std::string bad_magic = good;
   bad_magic[0] = 'Z';
-  const std::string path = ::testing::TempDir() + "/hp_bin_corrupt.hps";
+  const std::string path = hp::test::temp_dir() + "/hp_bin_corrupt.hps";
   for (const std::string& bytes :
        {std::string{}, std::string{"XXXX"}, bad_magic,
         good.substr(0, good.size() - 3), good + "junk"}) {

@@ -8,11 +8,8 @@
 #include <thread>
 #include <vector>
 
-#include "core/dual.hpp"
 #include "core/kcore.hpp"
 #include "core/overlap.hpp"
-#include "core/projection.hpp"
-#include "core/reduce.hpp"
 #include "core/stats.hpp"
 #include "core/traversal.hpp"
 #include "test_helpers.hpp"
@@ -34,17 +31,6 @@ void expect_same_hypergraph(const Hypergraph& a, const Hypergraph& b) {
   ASSERT_EQ(a.num_vertices(), b.num_vertices());
   ASSERT_EQ(a.num_edges(), b.num_edges());
   EXPECT_EQ(edge_lists(a), edge_lists(b));
-}
-
-void expect_same_graph(const graph::Graph& a, const graph::Graph& b) {
-  ASSERT_EQ(a.num_vertices(), b.num_vertices());
-  ASSERT_EQ(a.num_edges(), b.num_edges());
-  for (index_t v = 0; v < a.num_vertices(); ++v) {
-    const auto na = a.neighbors(v);
-    const auto nb = b.neighbors(v);
-    ASSERT_TRUE(std::equal(na.begin(), na.end(), nb.begin(), nb.end()))
-        << "neighbor lists differ at vertex " << v;
-  }
 }
 
 std::vector<std::vector<std::pair<index_t, index_t>>> overlap_rows(
@@ -70,13 +56,6 @@ TEST(ContextTest, ArtifactsMatchDirectComputationAcrossSeeds) {
     SCOPED_TRACE("trial " + std::to_string(trial));
 
     expect_same_hypergraph(ctx.hypergraph(), h);
-    expect_same_hypergraph(ctx.dual(), dual(h));
-    expect_same_graph(ctx.clique_projection(), clique_expansion(h));
-    EXPECT_EQ(ctx.star_baits(), default_baits(h));
-    expect_same_graph(ctx.star_projection(),
-                      star_expansion(h, default_baits(h)));
-    expect_same_graph(ctx.intersection_projection(),
-                      intersection_graph(h, nullptr));
 
     const HyperComponents direct_components = connected_components(h);
     EXPECT_EQ(ctx.components().count, direct_components.count);
@@ -92,13 +71,6 @@ TEST(ContextTest, ArtifactsMatchDirectComputationAcrossSeeds) {
     EXPECT_EQ(ctx.overlaps().max_degree2(), direct_overlaps.max_degree2());
     EXPECT_EQ(overlap_rows(ctx.overlaps()), overlap_rows(direct_overlaps));
 
-    const SubHypergraph direct_reduced = reduce(h);
-    expect_same_hypergraph(ctx.reduced().hypergraph,
-                           direct_reduced.hypergraph);
-    EXPECT_EQ(ctx.reduced().vertex_to_parent,
-              direct_reduced.vertex_to_parent);
-    EXPECT_EQ(ctx.reduced().edge_to_parent, direct_reduced.edge_to_parent);
-
     const HyperCoreResult direct_cores = core_decomposition(h, nullptr);
     EXPECT_EQ(ctx.cores().max_core, direct_cores.max_core);
     EXPECT_EQ(ctx.cores().vertex_core, direct_cores.vertex_core);
@@ -113,44 +85,26 @@ TEST(ContextTest, ArtifactsMatchDirectComputationAcrossSeeds) {
     EXPECT_DOUBLE_EQ(ctx.paths().average_length,
                      direct_paths.average_length);
     EXPECT_EQ(ctx.paths().connected_pairs, direct_paths.connected_pairs);
-
-    const RepresentationCosts direct_costs = representation_costs(h);
-    const RepresentationCosts ctx_costs = ctx.representation_costs();
-    EXPECT_EQ(ctx_costs.hypergraph_pins, direct_costs.hypergraph_pins);
-    EXPECT_EQ(ctx_costs.hypergraph_bytes, direct_costs.hypergraph_bytes);
-    EXPECT_EQ(ctx_costs.clique_edges, direct_costs.clique_edges);
-    EXPECT_EQ(ctx_costs.clique_bytes, direct_costs.clique_bytes);
-    EXPECT_EQ(ctx_costs.star_edges, direct_costs.star_edges);
-    EXPECT_EQ(ctx_costs.star_bytes, direct_costs.star_bytes);
-    EXPECT_EQ(ctx_costs.intersection_edges, direct_costs.intersection_edges);
-    EXPECT_EQ(ctx_costs.intersection_bytes, direct_costs.intersection_bytes);
   }
 }
 
 TEST(ContextTest, EachArtifactBuildsExactlyOnce) {
   const AnalysisContext ctx{testing::toy_hypergraph()};
 
-  // Touch everything twice; composite artifacts (summary, costs) also
-  // touch their dependencies internally.
+  // Touch everything twice; the summary also touches components()
+  // internally.
   for (int round = 0; round < 2; ++round) {
-    ctx.dual();
-    ctx.clique_projection();
-    ctx.star_baits();
-    ctx.star_projection();
-    ctx.intersection_projection();
     ctx.components();
     ctx.vertex_degree_histogram();
     ctx.edge_size_histogram();
     ctx.overlaps();
-    ctx.reduced();
     ctx.cores();
     ctx.summary();
     ctx.paths();
-    ctx.representation_costs();
   }
 
   const ContextStats stats = ctx.stats();
-  ASSERT_FALSE(stats.artifacts.empty());
+  ASSERT_EQ(stats.artifacts.size(), 7u);
   for (const ArtifactStats& a : stats.artifacts) {
     EXPECT_EQ(a.builds, 1u) << a.name;
     EXPECT_GE(a.hits, 1u) << a.name;
@@ -199,7 +153,7 @@ TEST(ContextTest, ConcurrentFirstAccessBuildsOnce) {
         ctx.summary();
         ctx.cores();
         ctx.overlaps();
-        ctx.clique_projection();
+        ctx.paths();
         ctx.components();
       }
     });

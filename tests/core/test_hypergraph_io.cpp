@@ -6,6 +6,7 @@
 
 #include "test_helpers.hpp"
 #include "util/common.hpp"
+#include "../temp_dir.hpp"
 
 namespace hp::hyper {
 namespace {
@@ -55,7 +56,7 @@ TEST(HypergraphIo, RejectsMalformedInput) {
 
 TEST(HypergraphIo, FileRoundTrip) {
   const Hypergraph h = testing::toy_hypergraph();
-  const std::string path = ::testing::TempDir() + "/hp_io_test.hyper";
+  const std::string path = hp::test::temp_dir() + "/hp_io_test.hyper";
   save_text(h, path);
   EXPECT_EQ(load_text(path), h);
   std::remove(path.c_str());
@@ -101,7 +102,7 @@ TEST(HmetisIo, RejectsMalformed) {
 
 TEST(HmetisIo, FileRoundTrip) {
   const Hypergraph h = testing::toy_hypergraph();
-  const std::string path = ::testing::TempDir() + "/hp_io_test.hgr";
+  const std::string path = hp::test::temp_dir() + "/hp_io_test.hgr";
   save_hmetis(h, path);
   EXPECT_EQ(load_hmetis(path), h);
   std::remove(path.c_str());

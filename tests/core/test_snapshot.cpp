@@ -4,7 +4,6 @@
 #include "core/snapshot/snapshot.hpp"
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <cstdio>
 #include <cstring>
@@ -19,12 +18,13 @@
 #include "core/snapshot/snapshot_format.hpp"
 #include "test_helpers.hpp"
 #include "util/rng.hpp"
+#include "../temp_dir.hpp"
 
 namespace hp::hyper {
 namespace {
 
 std::string save_temp(const Hypergraph& h, const std::string& name) {
-  const std::string path = ::testing::TempDir() + "/" + name;
+  const std::string path = hp::test::temp_dir() + "/" + name;
   snapshot::save(h, path);
   return path;
 }
@@ -56,7 +56,7 @@ TEST(SnapshotTest, SetFlagBitIsRejected) {
     }
   };
   expect_rejected([&] { snapshot::from_bytes(bytes); });
-  const std::string path = ::testing::TempDir() + "/hp_snap_flag.hps";
+  const std::string path = hp::test::temp_dir() + "/hp_snap_flag.hps";
   write_file(path, bytes);
   expect_rejected([&] { snapshot::open(path); });
   std::remove(path.c_str());
@@ -64,11 +64,9 @@ TEST(SnapshotTest, SetFlagBitIsRejected) {
 
 TEST(SnapshotTest, RoundTripBothCodecs) {
   // The two ways back from the one raw layout: decoding bytes into owned
-  // storage, and mapping the saved file zero-copy. The pid in the name
-  // keeps a parallel run of the whole binary off this file.
+  // storage, and mapping the saved file zero-copy.
   Rng rng{20040426};
-  const std::string path = ::testing::TempDir() + "/hp_snap_both_" +
-                           std::to_string(::getpid()) + ".hps";
+  const std::string path = hp::test::temp_dir() + "/hp_snap_both.hps";
   for (int trial = 0; trial < 8; ++trial) {
     const Hypergraph h = testing::random_hypergraph(rng, 30, 20, 6);
     EXPECT_EQ(snapshot::from_bytes(snapshot::to_bytes(h)), h);
@@ -149,7 +147,7 @@ TEST(SnapshotTest, VerifyAcceptsIntactAndRejectsCorrupt) {
   // Flip one adjacency byte on disk: the section checksum must catch it.
   std::string bytes = snapshot::to_bytes(h);
   bytes[bytes.size() - 1] ^= 0x40;
-  const std::string bad = ::testing::TempDir() + "/hp_snap_verify_bad.hps";
+  const std::string bad = hp::test::temp_dir() + "/hp_snap_verify_bad.hps";
   write_file(bad, bytes);
   EXPECT_THROW(snapshot::verify(bad), ParseError);
   std::remove(path.c_str());
@@ -245,7 +243,7 @@ TEST(SnapshotTest, MutablePipelineOverMappedBase) {
 TEST(SnapshotTest, TextAndSnapshotLoadersAgree) {
   Rng rng{11};
   const Hypergraph h = testing::random_hypergraph(rng, 25, 15, 4);
-  const std::string text_path = ::testing::TempDir() + "/hp_snap_diff.hyper";
+  const std::string text_path = hp::test::temp_dir() + "/hp_snap_diff.hyper";
   save_text(h, text_path);
   const std::string snap_path = save_temp(h, "hp_snap_diff.hps");
   EXPECT_EQ(load_text(text_path), snapshot::open(snap_path));

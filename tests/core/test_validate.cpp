@@ -12,6 +12,7 @@
 #include "cli/commands.hpp"
 #include "core/hypergraph.hpp"
 #include "core/snapshot/snapshot.hpp"
+#include "../temp_dir.hpp"
 
 namespace hp::hyper {
 namespace {
@@ -49,7 +50,7 @@ TEST(ValidateTranspose, AcceptsExactTransposes) {
 TEST(ValidateTranspose, SavedSnapshotIsRejectedOnLoad) {
   // snapshot::save writes whatever it is given; the readers must refuse
   // the file.
-  const std::string path = ::testing::TempDir() + "/transpose_mismatch.hps";
+  const std::string path = hp::test::temp_dir() + "/transpose_mismatch.hps";
   snapshot::save(transpose_mismatch(), path);
   EXPECT_THROW(cli::load_dataset(path), InvalidInputError);
   EXPECT_THROW(snapshot::verify(path), InvalidInputError);

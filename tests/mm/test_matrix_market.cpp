@@ -4,6 +4,8 @@
 
 #include <cstdio>
 
+#include "../temp_dir.hpp"
+
 namespace hp::mm {
 namespace {
 
@@ -107,7 +109,7 @@ TEST(MatrixMarket, RoundTripPattern) {
 
 TEST(MatrixMarket, FileRoundTrip) {
   const CooMatrix m = parse_matrix_market(kGeneral);
-  const std::string path = ::testing::TempDir() + "/hp_mm_test.mtx";
+  const std::string path = hp::test::temp_dir() + "/hp_mm_test.mtx";
   save_matrix_market(m, path);
   const CooMatrix back = load_matrix_market(path);
   EXPECT_EQ(back.nnz_stored(), m.nnz_stored());

@@ -14,6 +14,7 @@
 
 #include "obs/json_check.hpp"
 #include "obs/metrics.hpp"
+#include "../temp_dir.hpp"
 
 namespace hp::obs {
 namespace {
@@ -69,7 +70,7 @@ TEST(Export, PrometheusExpositionShape) {
 }
 
 TEST(Export, PrometheusFileReplacesAtomically) {
-  const std::string path = ::testing::TempDir() + "/export_test.prom";
+  const std::string path = hp::test::temp_dir() + "/export_test.prom";
   write_prometheus_file(sample_snapshot(), path);
   write_prometheus_file(sample_snapshot(), path);  // second write: rename over
   std::ifstream in{path};
@@ -83,7 +84,7 @@ TEST(Export, PrometheusFileReplacesAtomically) {
 }
 
 TEST(Export, JsonlAppendsOneParseableObjectPerLine) {
-  const std::string path = ::testing::TempDir() + "/export_test.jsonl";
+  const std::string path = hp::test::temp_dir() + "/export_test.jsonl";
   std::remove(path.c_str());
   TimedSnapshot timed;
   timed.unix_ms = 1700000000000;
@@ -134,8 +135,8 @@ TEST(Export, FlushCallbacksRunOnEveryUpdate) {
 }
 
 TEST(Export, BackgroundFlusherFillsRingAndSinks) {
-  const std::string jsonl = ::testing::TempDir() + "/export_bg.jsonl";
-  const std::string prom = ::testing::TempDir() + "/export_bg.prom";
+  const std::string jsonl = hp::test::temp_dir() + "/export_bg.jsonl";
+  const std::string prom = hp::test::temp_dir() + "/export_bg.prom";
   std::remove(jsonl.c_str());
   std::remove(prom.c_str());
 

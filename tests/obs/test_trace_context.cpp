@@ -13,6 +13,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "par/thread_pool.hpp"
+#include "../temp_dir.hpp"
 
 namespace hp::obs {
 namespace {
@@ -141,7 +142,7 @@ TEST(TraceContext, TaskGroupFourLaneRoundTrip) {
   }
 
   const std::string path =
-      ::testing::TempDir() + "/trace_context_round_trip.json";
+      hp::test::temp_dir() + "/trace_context_round_trip.json";
   write_chrome_trace_file(path);
   std::ifstream in{path};
   ASSERT_TRUE(in.good());

@@ -12,6 +12,7 @@
 
 #include "cli/query.hpp"
 #include "serve/context_pool.hpp"
+#include "../temp_dir.hpp"
 
 namespace hp::serve {
 namespace {
@@ -19,7 +20,7 @@ namespace {
 class ContextPoolTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir();
+    dir_ = hp::test::temp_dir();
     path_a_ = dir_ + "/pool_a.tsv";
     path_b_ = dir_ + "/pool_b.tsv";
     std::ofstream a(path_a_);

@@ -29,6 +29,7 @@
 #include "serve/serve_commands.hpp"
 #include "serve/server.hpp"
 #include "util/rng.hpp"
+#include "../temp_dir.hpp"
 
 namespace hp::serve {
 namespace {
@@ -70,7 +71,7 @@ std::size_t server_metric_count() {
 class ServeTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir();
+    dir_ = hp::test::temp_dir();
     data_a_ = dir_ + "/serve_a.tsv";
     data_b_ = dir_ + "/serve_b.tsv";
     std::ofstream a(data_a_);

@@ -15,6 +15,7 @@
 #include "core/snapshot/snapshot.hpp"
 #include "serve/server.hpp"
 #include "util/common.hpp"
+#include "../temp_dir.hpp"
 
 namespace hp::serve {
 namespace {
@@ -49,8 +50,10 @@ class ServeGoldenTest : public ::testing::Test {
   void SetUp() override {
     // One calibrated surrogate for the whole suite; generation is
     // deterministic in --seed, so every test run sees the same dataset.
+    // Each process writes its own copy, so parallel ctest runs never
+    // read a file another process is still writing.
     static const std::string* dataset = [] {
-      const std::string path = ::testing::TempDir() + "/golden.hyper";
+      const std::string path = hp::test::temp_dir() + "/golden.hyper";
       std::string output;
       const int code = run_cli(
           {"generate", path, "--seed=99", "--proteins=300"}, &output);
@@ -95,7 +98,7 @@ class ServeGoldenTest : public ::testing::Test {
 
 TEST_F(ServeGoldenTest, WarmServerMatchesOneShotCliByteForByte) {
   ServerOptions opts;
-  opts.endpoint = parse_endpoint(::testing::TempDir() + "/golden.sock");
+  opts.endpoint = parse_endpoint(hp::test::temp_dir() + "/golden.sock");
   Server server{std::move(opts)};  // handle() in-process; never started
 
   // Run everything twice: the first pass answers from a cold context,
@@ -118,7 +121,7 @@ TEST_F(ServeGoldenTest, WarmServerMatchesOneShotCliByteForByte) {
 
 TEST_F(ServeGoldenTest, ContextStatsFlagWorksThroughTheServer) {
   ServerOptions opts;
-  opts.endpoint = parse_endpoint(::testing::TempDir() + "/golden_cs.sock");
+  opts.endpoint = parse_endpoint(hp::test::temp_dir() + "/golden_cs.sock");
   Server server{std::move(opts)};
   proto::Request request;
   request.command = "stats";
@@ -134,13 +137,13 @@ TEST_F(ServeGoldenTest, ContextStatsFlagWorksThroughTheServer) {
 TEST(ServeEdgeCases, SingleDegreeDatasetMatchesOneShotCli) {
   // Every protein has degree 1: there is no power law to fit, and both
   // paths must say so identically instead of failing the request.
-  const std::string path = ::testing::TempDir() + "/single_degree.tsv";
+  const std::string path = hp::test::temp_dir() + "/single_degree.tsv";
   {
     std::ofstream out{path};
     out << "A\tP1\tP2\n";
   }
   ServerOptions opts;
-  opts.endpoint = parse_endpoint(::testing::TempDir() + "/single.sock");
+  opts.endpoint = parse_endpoint(hp::test::temp_dir() + "/single.sock");
   Server server{std::move(opts)};
   for (const std::string command : {"stats", "report"}) {
     std::string one_shot;
@@ -160,12 +163,12 @@ TEST(ServeEdgeCases, SingleDegreeDatasetMatchesOneShotCli) {
 TEST(ServeEdgeCases, InconsistentSnapshotIsRejected) {
   // Vertex side [[0, 0], []] is not the transpose of e0 = {0, 1}.
   const std::string path =
-      ::testing::TempDir() + "/serve_transpose_mismatch.hps";
+      hp::test::temp_dir() + "/serve_transpose_mismatch.hps";
   hyper::snapshot::save(
       hyper::Hypergraph::adopt_owned({0, 2, 2}, {0, 0}, {0, 2}, {0, 1}),
       path);
   ServerOptions opts;
-  opts.endpoint = parse_endpoint(::testing::TempDir() + "/mismatch.sock");
+  opts.endpoint = parse_endpoint(hp::test::temp_dir() + "/mismatch.sock");
   Server server{std::move(opts)};
   proto::Request request;
   request.command = "stats";

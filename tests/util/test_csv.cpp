@@ -6,6 +6,7 @@
 #include <fstream>
 
 #include "util/common.hpp"
+#include "../temp_dir.hpp"
 
 namespace hp {
 namespace {
@@ -47,7 +48,7 @@ TEST(ParseCsv, UnterminatedQuoteThrows) {
 TEST(CsvWriter, SaveWritesFile) {
   CsvWriter w;
   w.add_row({"k", "v"});
-  const std::string path = testing::TempDir() + "/hp_csv_test.csv";
+  const std::string path = hp::test::temp_dir() + "/hp_csv_test.csv";
   w.save(path);
   std::ifstream in(path);
   std::string line;

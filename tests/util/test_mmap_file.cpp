@@ -8,11 +8,13 @@
 #include <string>
 #include <utility>
 
+#include "../temp_dir.hpp"
+
 namespace hp {
 namespace {
 
 std::string write_file(const std::string& name, const std::string& bytes) {
-  const std::string path = ::testing::TempDir() + "/" + name;
+  const std::string path = hp::test::temp_dir() + "/" + name;
   std::ofstream out{path, std::ios::binary};
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   return path;
@@ -39,12 +41,12 @@ TEST(MappedFileTest, EmptyFileMapsToNull) {
 }
 
 TEST(MappedFileTest, MissingFileThrows) {
-  EXPECT_THROW(MappedFile{::testing::TempDir() + "/no_such_file.bin"},
+  EXPECT_THROW(MappedFile{hp::test::temp_dir() + "/no_such_file.bin"},
                std::runtime_error);
 }
 
 TEST(MappedFileTest, DirectoryThrows) {
-  EXPECT_THROW(MappedFile{::testing::TempDir()}, std::runtime_error);
+  EXPECT_THROW(MappedFile{hp::test::temp_dir()}, std::runtime_error);
 }
 
 TEST(MappedFileTest, MoveTransfersOwnership) {
